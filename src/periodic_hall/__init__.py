@@ -11,6 +11,9 @@ The package builds, over a prime field F_q and a small acyclic quiver:
 - the basis-wise algebra embedding of the former into the latter, with an
   exact verification harness.
 
+Elements of both algebras are `Element` values: finite scalar combinations
+of basis elements, tied to the algebra that built them.
+
 All arithmetic is exact, in the field Q[t]/(t^8 - q) with v = sqrt(q) = t^4.
 """
 
@@ -23,8 +26,9 @@ from .errors import (
     ResourceLimitError,
     UsageError,
 )
-from .extended import ExtendedAlgebra, ExtendedBasisElement, ExtendedElement
-from .periodic import PeriodicAlgebra, PeriodicElement, PeriodicObject
+from .combo import Element
+from .extended import ExtendedAlgebra, ExtendedBasisElement
+from .periodic import PeriodicAlgebra, PeriodicObject
 from .repcat import IsoClass, Quiver, Rep, RepContext
 from .scalar import Scalar, ScalarField, parse_scalar
 
@@ -33,17 +37,16 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainMap",
     "DerivedContext",
+    "Element",
     "Embedding",
     "EvenPeriodError",
     "ExtendedAlgebra",
     "ExtendedBasisElement",
-    "ExtendedElement",
     "GradedObject",
     "HallError",
     "IsoClass",
     "ParseError",
     "PeriodicAlgebra",
-    "PeriodicElement",
     "PeriodicObject",
     "PhiImage",
     "ProjComplex",

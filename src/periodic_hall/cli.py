@@ -225,7 +225,7 @@ def _cmd_verify(args) -> int:
         return _verify_report(settings, args, report)
 
     if args.suite == "partition":
-        report = suites.partition_sweep(dctx, args.total_dim, mode="total")
+        report = suites.partition_sweep(dctx, args.total_dim, mode=dctx.count_mode)
         return _verify_report(settings, args, report)
 
     if args.suite == "identities":

@@ -1,6 +1,18 @@
-"""Small helpers shared by the two algebras' element types."""
+"""Element arithmetic and literal parsing shared by the two algebras.
+
+`Element` is a finite scalar combination of basis elements of one
+algebra.  `Algebra` holds everything DH_m and DH^e_m do alike: the period
+check, element builders, the bilinear extension of the basis product and
+the parsing of element literals and of the module part of basis literals.
+Each subclass supplies `basis`, `basis_product` (its own product twist)
+and `parse_basis`.
+"""
 
 from __future__ import annotations
+
+from .errors import ParseError, UsageError
+from .repcat import IsoClass
+from .scalar import parse_scalar
 
 
 def add_term(acc: dict, basis, scalar) -> None:
@@ -13,19 +25,6 @@ def add_term(acc: dict, basis, scalar) -> None:
             acc[basis] = s
     elif not scalar.is_zero():
         acc[basis] = scalar
-
-
-def combine(a: dict, b: dict, negate_b: bool = False) -> dict:
-    out = dict(a)
-    for basis, s in b.items():
-        add_term(out, basis, -s if negate_b else s)
-    return out
-
-
-def scale(terms: dict, scalar) -> dict:
-    if scalar.is_zero():
-        return {}
-    return {basis: scalar * s for basis, s in terms.items()}
 
 
 def format_terms(pairs) -> str:
@@ -49,3 +48,206 @@ def format_terms(pairs) -> str:
         else:
             out += " + " + chunk
     return out
+
+
+class Element:
+    """Finite scalar combination of basis elements of one algebra."""
+
+    __slots__ = ("algebra", "terms")
+
+    def __init__(self, algebra: "Algebra", terms: dict):
+        self.algebra = algebra
+        self.terms = {b: s for b, s in terms.items() if not s.is_zero()}
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+
+    def _plus(self, other, negate: bool) -> "Element":
+        self.algebra._check_element(other)
+        out = dict(self.terms)
+        for basis, s in other.terms.items():
+            add_term(out, basis, -s if negate else s)
+        return Element(self.algebra, out)
+
+    def __add__(self, other):
+        return self._plus(other, False)
+
+    def __sub__(self, other):
+        return self._plus(other, True)
+
+    def __neg__(self):
+        return Element(self.algebra, {b: -s for b, s in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, Element):
+            return self.algebra.multiply(self, other)
+        return self.__rmul__(other)
+
+    def __rmul__(self, scalar):
+        # scalar * element (elements multiply via __mul__)
+        if scalar.is_zero():
+            return Element(self.algebra, {})
+        return Element(self.algebra, {b: scalar * s for b, s in self.terms.items()})
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Element)
+            and other.algebra is self.algebra
+            and other.terms == self.terms
+        )
+
+    def __str__(self):
+        return format_terms([(str(b), s) for b, s in self.sorted_terms()])
+
+    __repr__ = __str__
+
+    def to_json(self):
+        return [
+            {"basis": str(b), "scalar": s.to_strings(), "scalar_text": str(s)}
+            for b, s in self.sorted_terms()
+        ]
+
+
+class Algebra:
+    """Plumbing shared by DH_m and DH^e_m over one derived context."""
+
+    def __init__(self, derived, m: int):
+        if m < 1:
+            raise UsageError(f"period must be positive, got {m}")
+        self.derived = derived
+        self.rep = derived.rep
+        self.field = derived.field
+        self.m = m
+        self._product_cache: dict = {}
+
+    # -- element builders -----------------------------------------------------
+
+    @property
+    def unit_basis(self):
+        return self.basis([self.rep.zero_class] * self.m)
+
+    def unit(self) -> Element:
+        return self.element({self.unit_basis: self.field.one})
+
+    def element(self, terms: dict) -> Element:
+        for b in terms:
+            if b.m != self.m:
+                raise UsageError("basis element has the wrong period")
+        return Element(self, terms)
+
+    def monomial(self, basis) -> Element:
+        return self.element({basis: self.field.one})
+
+    def _check_element(self, other):
+        if not isinstance(other, Element) or other.algebra is not self:
+            raise UsageError("operands belong to different algebras")
+
+    def _check_classes(self, classes) -> tuple:
+        classes = tuple(classes)
+        if len(classes) != self.m:
+            raise UsageError(f"expected {self.m} classes, got {len(classes)}")
+        for cls in classes:
+            if not isinstance(cls, IsoClass):
+                raise UsageError("basis entries must be IsoClass values")
+        return classes
+
+    def _module_classes(self, entries) -> list:
+        """Classes per degree from (degree, class) pairs; degrees reduce mod m
+        and collisions direct-sum."""
+        classes = [self.rep.zero_class] * self.m
+        for deg, cls in entries:
+            i = deg % self.m
+            classes[i] = self.rep.direct_sum_class(classes[i], cls)
+        return classes
+
+    # -- multiplication ---------------------------------------------------------
+
+    def multiply(self, x: Element, y: Element) -> Element:
+        self._check_element(x)
+        self._check_element(y)
+        acc: dict = {}
+        for a, sa in x.terms.items():
+            for b, sb in y.terms.items():
+                coeff = sa * sb
+                for basis, s in self.basis_product(a, b).items():
+                    add_term(acc, basis, coeff * s)
+        return Element(self, acc)
+
+    # -- parsing ------------------------------------------------------------------
+
+    def _parse_module_part(self, text: str, what: str) -> list:
+        """Classes of '[S1@0 + P1@2]' (grouped class sums allowed); '[0]' is zero."""
+        if not (text.startswith("[") and text.endswith("]")):
+            raise ParseError(f"{what} must be bracketed: {text!r}")
+        inner = text[1:-1].strip()
+        if inner in ("", "0"):
+            return self._module_classes(())
+        return self._module_classes(self.derived.parse_graded(inner).entries)
+
+    def parse_element(self, text: str) -> Element:
+        """Sums 'coef*[basis] + ...'; coefficient literals as in the scalar field."""
+        terms: dict = {}
+        for piece, sign in _split_element(text):
+            coef_text, basis_text = _split_coefficient(piece)
+            scalar = (
+                parse_scalar(self.field, coef_text) if coef_text else self.field.one
+            )
+            if sign < 0:
+                scalar = -scalar
+            basis = self.parse_basis(basis_text)
+            add_term(terms, basis, scalar)
+        return Element(self, terms)
+
+
+def _split_element(text: str):
+    """Split 'a*[..] + b*[..] - c*[..]' at top level, tracking signs."""
+    text = text.strip()
+    if not text:
+        raise ParseError("empty element literal")
+    pieces = []
+    depth = 0
+    sign = 1
+    current = ""
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        if depth == 0 and ch in "+-" and current.strip().endswith("]"):
+            pieces.append((current.strip(), sign))
+            sign = 1 if ch == "+" else -1
+            current = ""
+        else:
+            current += ch
+        i += 1
+    if current.strip():
+        pieces.append((current.strip(), sign))
+    if not pieces:
+        raise ParseError(f"no terms in element literal {text!r}")
+    return pieces
+
+
+def _split_coefficient(piece: str):
+    """'<coef>*[basis...]' -> (coef or '', basis literal).
+
+    The basis part may also start with 'K[' (pure K-monomials in the
+    extended algebra), so a '[' directly preceded by 'K' starts the basis.
+    """
+    idx = piece.find("[")
+    if idx < 0:
+        raise ParseError(f"term {piece!r} has no bracketed basis")
+    if idx > 0 and piece[idx - 1] == "K":
+        idx -= 1
+    coef = piece[:idx].strip()
+    if coef.endswith("*"):
+        coef = coef[:-1].strip()
+    if coef.startswith("-"):
+        # leading sign folded here keeps '-[S1@0]' parseable
+        rest = coef[1:].strip()
+        coef = f"-1*{rest}" if rest else "-1"
+    return coef, piece[idx:]

@@ -23,13 +23,21 @@ the test suite checks that they agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from . import linalg
 from .errors import ParseError, ResourceLimitError, UsageError
-from .repcat import IsoClass, Rep, RepContext, direct_sum_reps
+from .repcat import (
+    IsoClass,
+    Rep,
+    RepContext,
+    _morphism_constraints,
+    _VarLayout,
+    direct_sum_reps,
+)
 from .scalar import Scalar, ScalarField
 
 
@@ -153,64 +161,58 @@ class ChainMap:
         return comp[v]
 
 
-class _VarLayout:
-    """Flat coordinates for a family of per-(degree, vertex) matrices."""
-
-    def __init__(self, blocks):
-        self.index = {}
-        self.blocks = []  # (degree, vertex, rows, cols, offset)
-        offset = 0
-        for degree, vertex, rows, cols in blocks:
-            if rows and cols:
-                self.index[(degree, vertex)] = len(self.blocks)
-                self.blocks.append((degree, vertex, rows, cols, offset))
-                offset += rows * cols
-        self.size = offset
-
-    def slot(self, degree, vertex):
-        i = self.index.get((degree, vertex))
-        return None if i is None else self.blocks[i]
-
-    def unflatten(self, vec):
-        out = {}
-        for degree, vertex, rows, cols, offset in self.blocks:
-            out.setdefault(degree, {})[vertex] = vec[
-                offset : offset + rows * cols
-            ].reshape(rows, cols)
-        return out
+def _map_layout(C: ProjComplex, D: ProjComplex, lag: int = 0):
+    """Coordinates of degree-wise maps C^n -> D^{n-lag}, and the (source,
+    target) pair of each degree."""
+    degrees = sorted(set(C.terms) | set(D.terms))
+    pairs = {n: (C.term(n), D.term(n - lag)) for n in degrees}
+    layout = _VarLayout(
+        (n, v, dst.dims[v], src.dims[v])
+        for n, (src, dst) in pairs.items()
+        for v in range(C.ctx.quiver.n)
+    )
+    return layout, pairs
 
 
-def _morphism_constraints(ctx: RepContext, layout: _VarLayout, pairs):
-    """Rows forcing each layout block to be a morphism of representations.
+class _Cone:
+    """Mapping cones of the chain maps C -> D whose coordinates follow `layout`.
 
-    pairs: degree -> (source Rep, target Rep).
+    cone(f) has term C^{n+1} + D^n in degree n and differential
+    [[-dC, 0], [f, dD]]; all but the f block is fixed, so it is built once.
     """
-    rows = []
-    q = ctx.q
-    for degree, (src, dst) in pairs.items():
-        for idx, (s, t) in enumerate(ctx.quiver.arrows):
-            n_eq = dst.dims[t] * src.dims[s]
-            if n_eq == 0:
+
+    def __init__(self, C: ProjComplex, D: ProjComplex, layout: _VarLayout):
+        self.ctx = ctx = C.ctx
+        degs = sorted({n - 1 for n in C.terms} | set(D.terms))
+        self.terms = {
+            n: direct_sum_reps(ctx.quiver, C.term(n + 1), D.term(n)) for n in degs
+        }
+        self.templates = {}
+        self.slots = []  # (degree, vertex, first row of the f block, layout slot)
+        for n in degs:
+            if n + 1 not in self.terms:
                 continue
-            block = linalg.zeros(n_eq, layout.size)
-            hit = False
-            slot = layout.slot(degree, t)
-            if slot is not None:
-                _, _, r, c, off = slot
-                block[:, off : off + r * c] = np.kron(
-                    linalg.identity(dst.dims[t]), src.mats[idx].T
+            dC, dD = C.diff(n + 1), D.diff(n)
+            mats = []
+            for v in range(ctx.quiver.n):
+                c_rows, c_cols = C.term(n + 2).dims[v], C.term(n + 1).dims[v]
+                m = linalg.zeros(
+                    c_rows + D.term(n + 1).dims[v], c_cols + D.term(n).dims[v]
                 )
-                hit = True
-            slot = layout.slot(degree, s)
-            if slot is not None:
-                _, _, r, c, off = slot
-                block[:, off : off + r * c] -= np.kron(
-                    dst.mats[idx], linalg.identity(src.dims[s])
-                )
-                hit = True
-            if hit:
-                rows.append(block % q)
-    return rows
+                m[:c_rows, :c_cols] = (-dC[v]) % ctx.q
+                m[c_rows:, c_cols:] = dD[v]
+                mats.append(m)
+                slot = layout.slot(n + 1, v)
+                if slot is not None:
+                    self.slots.append((n, v, c_rows, slot))
+            self.templates[n] = mats
+
+    def homology(self, fvec) -> GradedObject:
+        """Graded object L with cone(f) = L[1] for the chain map f = fvec."""
+        diffs = {n: [m.copy() for m in mats] for n, mats in self.templates.items()}
+        for n, v, row0, (off, r, c) in self.slots:
+            diffs[n][v][row0 : row0 + r, :c] = fvec[off : off + r * c].reshape(r, c)
+        return _graded_homology(self.ctx, self.terms, diffs, -1)
 
 
 class ConeCounter:
@@ -225,82 +227,38 @@ class ConeCounter:
         self.C = dctx.resolution(X)
         self.D = dctx.resolution(Y).shift(1)
         self._setup_spaces()
-        self._setup_cone_templates()
+        self.cone = _Cone(self.C, self.D, self.layout)
 
     # -- linear spaces of maps ------------------------------------------------
 
     def _setup_spaces(self):
         ctx, q = self.ctx, self.q
-        nv = ctx.quiver.n
         C, D = self.C, self.D
-        degrees = sorted(set(C.terms) | set(D.terms))
-        self.degrees = degrees
-
-        blocks = []
-        pairs = {}
-        for n in degrees:
-            src, dst = C.term(n), D.term(n)
-            pairs[n] = (src, dst)
-            for v in range(nv):
-                blocks.append((n, v, dst.dims[v], src.dims[v]))
-        self.layout = _VarLayout(blocks)
+        self.layout, pairs = _map_layout(C, D)
+        size = self.layout.size
 
         rows = _morphism_constraints(ctx, self.layout, pairs)
         # commutation: f^{n+1} dC^n = dD^n f^n, one block per vertex
-        for n in degrees:
-            dst_next = D.term(n + 1)
-            src_here = C.term(n)
-            if dst_next.total_dim == 0 or src_here.total_dim == 0:
+        for n in pairs:
+            if D.term(n + 1).total_dim == 0 or C.term(n).total_dim == 0:
                 continue
-            dC = C.diff(n)
-            dD = D.diff(n)
-            for v in range(nv):
-                n_eq = dst_next.dims[v] * src_here.dims[v]
-                if n_eq == 0:
-                    continue
-                block = linalg.zeros(n_eq, self.layout.size)
-                hit = False
-                slot = self.layout.slot(n + 1, v)
-                if slot is not None:
-                    _, _, r, c, off = slot
-                    block[:, off : off + r * c] = np.kron(
-                        linalg.identity(dst_next.dims[v]), dC[v].T
-                    )
-                    hit = True
-                slot = self.layout.slot(n, v)
-                if slot is not None:
-                    _, _, r, c, off = slot
-                    block[:, off : off + r * c] -= np.kron(
-                        dD[v], linalg.identity(src_here.dims[v])
-                    )
-                    hit = True
-                if hit:
-                    rows.append(block % q)
-        if rows:
-            constraint = np.concatenate(rows, axis=0)
-        else:
-            constraint = linalg.zeros(0, self.layout.size)
+            dC, dD = C.diff(n), D.diff(n)
+            for v in range(ctx.quiver.n):
+                x, y = self.layout.slot(n + 1, v), self.layout.slot(n, v)
+                block = linalg.intertwining_rows(size, x, dC[v], dD[v], y, q)
+                if block is not None:
+                    rows.append(block)
+        constraint = self.layout.stack(rows)
         self.chain_basis = linalg.kernel(constraint, q).T  # rows are chain maps
 
         # null-homotopic subspace: images of h -> dD h + h dC
-        hblocks = []
-        hpairs = {}
-        for n in degrees:
-            src, dst = C.term(n), D.term(n - 1)
-            hpairs[n] = (src, dst)
-            for v in range(nv):
-                hblocks.append((n, v, dst.dims[v], src.dims[v]))
-        hlayout = _VarLayout(hblocks)
+        hlayout, hpairs = _map_layout(C, D, lag=1)
         hrows = _morphism_constraints(ctx, hlayout, hpairs)
-        if hrows:
-            hconstraint = np.concatenate(hrows, axis=0)
-        else:
-            hconstraint = linalg.zeros(0, hlayout.size)
-        hbasis = linalg.kernel(hconstraint, q).T
+        hbasis = linalg.kernel(hlayout.stack(hrows), q).T
         images = []
         for hvec in hbasis:
             hmats = hlayout.unflatten(hvec)
-            img = np.zeros(self.layout.size, dtype=np.int64)
+            img = np.zeros(size, dtype=np.int64)
             for n, v, r, c, off in self.layout.blocks:
                 acc = linalg.zeros(r, c)
                 hn = hmats.get(n, {}).get(v)
@@ -314,7 +272,7 @@ class ConeCounter:
         if images:
             self.homotopy_rows = linalg.row_space(np.stack(images), q)
         else:
-            self.homotopy_rows = linalg.zeros(0, self.layout.size)
+            self.homotopy_rows = linalg.zeros(0, size)
         self.homotopy_dim = self.homotopy_rows.shape[0]
         self.complement_rows = linalg.extend_row_basis(
             self.homotopy_rows, self.chain_basis, q
@@ -324,65 +282,6 @@ class ConeCounter:
         expected = self.dctx.db_hom_dim(self.X, self.Y.shift(1))
         got = self.chain_basis.shape[0] - self.homotopy_dim
         assert got == expected, (self.X, self.Y, got, expected)
-
-    # -- cone assembly ----------------------------------------------------------
-
-    def _setup_cone_templates(self):
-        ctx = self.ctx
-        nv = ctx.quiver.n
-        C, D = self.C, self.D
-        cone_degs = sorted({n - 1 for n in C.terms} | set(D.terms))
-        self.cone_degs = cone_degs
-        self.cone_terms = {}
-        self.cone_templates = {}
-        self.cone_slots = []  # (deg, v, rows slice, cols slice, var offset ...)
-        for n in cone_degs:
-            self.cone_terms[n] = direct_sum_reps(
-                ctx.quiver, C.term(n + 1), D.term(n)
-            )
-        for n in cone_degs:
-            if n + 1 not in self.cone_terms:
-                if any(self.cone_terms[n].dims):
-                    self.cone_templates[n] = None
-                continue
-            src_c, src_d = C.term(n + 1), D.term(n)
-            dst_c, dst_d = C.term(n + 2), D.term(n + 1)
-            dC = C.diff(n + 1)
-            dD = D.diff(n)
-            mats = []
-            for v in range(nv):
-                rows = dst_c.dims[v] + dst_d.dims[v]
-                cols = src_c.dims[v] + src_d.dims[v]
-                m = linalg.zeros(rows, cols)
-                m[: dst_c.dims[v], : src_c.dims[v]] = (-dC[v]) % self.q
-                m[dst_c.dims[v] :, src_c.dims[v] :] = dD[v]
-                mats.append(m)
-                slot = self.layout.slot(n + 1, v)
-                if slot is not None:
-                    _, _, r, c, off = slot
-                    self.cone_slots.append(
-                        (n, v, dst_c.dims[v], src_c.dims[v], r, c, off)
-                    )
-            self.cone_templates[n] = mats
-
-    def _cone_homology(self, fvec) -> GradedObject:
-        """Graded object L with cone(f) = L[1] for the chain map f = fvec."""
-        diffs = {}
-        for n, mats in self.cone_templates.items():
-            if mats is None:
-                continue
-            diffs[n] = [m.copy() for m in mats]
-        for n, v, row0, col0, r, c, off in self.cone_slots:
-            diffs[n][v][row0 : row0 + r, :c] = fvec[off : off + r * c].reshape(r, c)
-        entries = []
-        for n in self.cone_degs:
-            term = self.cone_terms[n]
-            if term.total_dim == 0:
-                continue
-            h = _homology_rep(self.ctx, term, diffs.get(n - 1), diffs.get(n))
-            if h.total_dim:
-                entries.append((-n - 1, self.ctx.classify_rep(h)))
-        return GradedObject(tuple(sorted(entries, key=lambda item: item[0])))
 
     # -- counting ------------------------------------------------------------------
 
@@ -401,12 +300,12 @@ class ConeCounter:
             )
         tally: dict = {}
         if free == 0:
-            L = self._cone_homology(np.zeros(self.layout.size, dtype=np.int64))
+            L = self.cone.homology(np.zeros(self.layout.size, dtype=np.int64))
             tally[L] = 1
             return tally
         for coeffs in product(range(self.q), repeat=free):
             fvec = (np.asarray(coeffs, dtype=np.int64) @ basis) % self.q
-            L = self._cone_homology(fvec)
+            L = self.cone.homology(fvec)
             tally[L] = tally.get(L, 0) + 1
         if divisor != 1:
             out = {}
@@ -420,22 +319,25 @@ class ConeCounter:
     # -- chain-map helpers for direct cone tests -------------------------------------
 
     def chain_map_from_vector(self, fvec) -> ChainMap:
-        mats = {}
-        grouped = self.layout.unflatten(np.asarray(fvec, dtype=np.int64) % self.q)
-        for n, per_vertex in grouped.items():
-            full = []
-            for v in range(self.ctx.quiver.n):
-                m = per_vertex.get(v)
-                if m is None:
-                    m = linalg.zeros(
-                        self.D.term(n).dims[v], self.C.term(n).dims[v]
-                    )
-                full.append(m)
-            mats[n] = tuple(full)
-        return ChainMap(self.C, self.D, mats)
+        vec = np.asarray(fvec, dtype=np.int64) % self.q
+        return ChainMap(self.C, self.D, self.layout.matrices(vec))
 
     def null_homotopic_vectors(self):
         return [row for row in self.homotopy_rows]
+
+
+def _graded_homology(ctx: RepContext, terms: dict, diffs: dict, shift: int):
+    """Classes of the homology of a complex, the degree-n part placed at
+    degree shift - n."""
+    entries = []
+    for n in sorted(terms):
+        term = terms[n]
+        if term.total_dim == 0:
+            continue
+        h = _homology_rep(ctx, term, diffs.get(n - 1), diffs.get(n))
+        if h.total_dim:
+            entries.append((shift - n, ctx.classify_rep(h)))
+    return GradedObject(tuple(sorted(entries, key=lambda item: item[0])))
 
 
 def _homology_rep(ctx: RepContext, term: Rep, d_in, d_out) -> Rep:
@@ -671,14 +573,7 @@ class DerivedContext:
 
     def complex_homology(self, cpx: ProjComplex) -> GradedObject:
         """Classes of the homology of a complex, as a graded object."""
-        entries = []
-        for n in cpx.support():
-            d_in = cpx.diffs.get(n - 1)
-            d_out = cpx.diffs.get(n)
-            h = _homology_rep(self.rep, cpx.term(n), d_in, d_out)
-            if h.total_dim:
-                entries.append((-n, self.rep.classify_rep(h)))
-        return GradedObject(tuple(sorted(entries, key=lambda item: item[0])))
+        return _graded_homology(self.rep, cpx.terms, cpx.diffs, 0)
 
     # -- cones and fibers -----------------------------------------------------
 
@@ -687,33 +582,11 @@ class DerivedContext:
 
     def cone_class(self, f: ChainMap) -> GradedObject:
         """L with cone(f) = L[1], from the literal mapping cone of f."""
-        ctx = self.rep
-        nv = ctx.quiver.n
-        C, D = f.source, f.target
-        cone_degs = sorted({n - 1 for n in C.terms} | set(D.terms))
-        terms = {}
-        diffs = {}
-        for n in cone_degs:
-            terms[n] = direct_sum_reps(ctx.quiver, C.term(n + 1), D.term(n))
-        for n in cone_degs:
-            if n + 1 not in terms:
-                continue
-            dC = C.diff(n + 1)
-            dD = D.diff(n)
-            src_c, src_d = C.term(n + 1), D.term(n)
-            dst_c, dst_d = C.term(n + 2), D.term(n + 1)
-            mats = []
-            for v in range(nv):
-                rows = dst_c.dims[v] + dst_d.dims[v]
-                cols = src_c.dims[v] + src_d.dims[v]
-                m = linalg.zeros(rows, cols)
-                m[: dst_c.dims[v], : src_c.dims[v]] = (-dC[v]) % self.q
-                m[dst_c.dims[v] :, : src_c.dims[v]] = f.component(n + 1, v)
-                m[dst_c.dims[v] :, src_c.dims[v] :] = dD[v]
-                mats.append(m)
-            diffs[n] = tuple(mats)
-        cone = ProjComplex(ctx, terms, diffs)
-        return self.complex_homology(cone).shift(-1)
+        layout, _ = _map_layout(f.source, f.target)
+        vec = np.zeros(layout.size, dtype=np.int64)
+        for n, v, r, c, off in layout.blocks:
+            vec[off : off + r * c] = f.component(n, v).reshape(-1) % self.q
+        return _Cone(f.source, f.target, layout).homology(vec)
 
     def fiber_counts(self, X: GradedObject, Y: GradedObject, mode: str | None = None):
         """|Ext^1(X, Y)_L| for every L with a nonempty fiber."""
@@ -734,6 +607,24 @@ class DerivedContext:
             elif len(L.entries) == 1 and L.entries[0][0] == 0:
                 out[L.entries[0][1]] = c
         return out
+
+    def hall_factors(self, A, B, I):
+        """Per position i, the map M -> H(M; I_i[1] + A_i, B_i + I_{i-1}[-1])
+        / |Aut(I_i)| as exact rationals (indices mod the period), for module
+        tuples A, B and connecting classes I; None if some fiber is empty."""
+        m = len(A)
+        q = Fraction(self.q)
+        factors = []
+        for i in range(m):
+            X = self.graded({1: I[i], 0: A[i]})
+            Y = self.graded({0: B[i], -1: I[(i - 1) % m]})
+            counts = self.module_fiber_counts(X, Y)
+            if not counts:
+                return None
+            weight = q ** (-self.hall_denominator_exponent(X, Y))
+            weight /= self.rep.aut_count(I[i])
+            factors.append({cls: c * weight for cls, c in counts.items()})
+        return factors
 
     def derived_hall_number(self, X: GradedObject, Y: GradedObject, L: GradedObject) -> Scalar:
         """|Ext^1(X,Y)_L| / (|Hom(X,Y)| * {X,Y}) as an exact scalar."""

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .combo import Element
 from .errors import UsageError
-from .extended import ExtendedAlgebra, ExtendedBasisElement, ExtendedElement, convention_range
-from .periodic import PeriodicAlgebra, PeriodicElement, PeriodicObject
+from .extended import ExtendedAlgebra, ExtendedBasisElement, convention_range
+from .periodic import PeriodicAlgebra, PeriodicObject
 from .scalar import Scalar
 
 
@@ -75,22 +76,14 @@ class Embedding:
     def phi_basis(self, b: PeriodicObject) -> PhiImage:
         m = self.m
         dims = [np.asarray(cls.dims, dtype=np.int64) for cls in b.classes]
-        if m == 1:
-            alpha = (tuple(int(-d) for d in dims[0]),)
-            scalar = self.field.one
-        else:
-            units = phi_exponent_t_units(dims, m, self.rep.euler)
-            scalar = self.field.v_power(units)
-            alphas = []
-            for i in range(m):
-                x_next = sum(
-                    (-1) ** k * dims[(i + 1 + k) % m] for k in range(m)
-                )
-                alphas.append(tuple(int(-t) for t in x_next))
-            alpha = tuple(alphas)
-        return PhiImage(scalar, self.extended.basis(b.classes, alpha))
+        scalar = self.field.v_power(phi_exponent_t_units(dims, m, self.rep.euler))
+        alphas = []
+        for i in range(m):
+            x_next = sum((-1) ** k * dims[(i + 1 + k) % m] for k in range(m))
+            alphas.append(tuple(int(-t) for t in x_next))
+        return PhiImage(scalar, self.extended.basis(b.classes, alphas))
 
-    def phi(self, element: PeriodicElement) -> ExtendedElement:
+    def phi(self, element: Element) -> Element:
         terms: dict = {}
         for basis, s in element.terms.items():
             image = self.phi_basis(basis)
@@ -122,7 +115,7 @@ class Embedding:
         return report
 
     @staticmethod
-    def _first_diff(lhs: ExtendedElement, rhs: ExtendedElement) -> dict:
+    def _first_diff(lhs: Element, rhs: Element) -> dict:
         keys = sorted(
             set(lhs.terms) | set(rhs.terms), key=ExtendedBasisElement.sort_key
         )

@@ -26,9 +26,7 @@ from itertools import product
 import numpy as np
 
 from . import combo
-from .derived import DerivedContext
 from .errors import ParseError, UsageError
-from .repcat import IsoClass
 
 
 def convention_range(m: int):
@@ -46,12 +44,6 @@ class ExtendedBasisElement:
     @property
     def m(self) -> int:
         return len(self.classes)
-
-    @property
-    def is_unit(self) -> bool:
-        return all(c.is_zero for c in self.classes) and not any(
-            any(a) for a in self.alphas
-        )
 
     def sort_key(self):
         return (tuple(c.sort_key() for c in self.classes), self.alphas)
@@ -78,72 +70,8 @@ class ExtendedBasisElement:
     __repr__ = __str__
 
 
-class ExtendedElement:
-    """Finite scalar combination of extended basis elements."""
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: "ExtendedAlgebra", terms: dict):
-        self.algebra = algebra
-        self.terms = {b: s for b, s in terms.items() if not s.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def __add__(self, other):
-        self.algebra._check_element(other)
-        return ExtendedElement(self.algebra, combo.combine(self.terms, other.terms))
-
-    def __sub__(self, other):
-        self.algebra._check_element(other)
-        return ExtendedElement(
-            self.algebra, combo.combine(self.terms, other.terms, negate_b=True)
-        )
-
-    def __neg__(self):
-        return ExtendedElement(self.algebra, {b: -s for b, s in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, ExtendedElement):
-            return self.algebra.multiply(self, other)
-        return ExtendedElement(self.algebra, combo.scale(self.terms, other))
-
-    def __rmul__(self, other):
-        return ExtendedElement(self.algebra, combo.scale(self.terms, other))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtendedElement)
-            and other.algebra is self.algebra
-            and other.terms == self.terms
-        )
-
-    def __str__(self):
-        return combo.format_terms([(str(b), s) for b, s in self.sorted_terms()])
-
-    __repr__ = __str__
-
-    def to_json(self):
-        return [
-            {"basis": str(b), "scalar": s.to_strings(), "scalar_text": str(s)}
-            for b, s in self.sorted_terms()
-        ]
-
-
-class ExtendedAlgebra:
+class ExtendedAlgebra(combo.Algebra):
     """DH^e_m over a fixed quiver and prime; accepts every period m >= 1."""
-
-    def __init__(self, derived: DerivedContext, m: int):
-        if m < 1:
-            raise UsageError(f"period must be positive, got {m}")
-        self.derived = derived
-        self.rep = derived.rep
-        self.field = derived.field
-        self.m = m
-        self._product_cache: dict = {}
 
     # -- builders ---------------------------------------------------------
 
@@ -151,12 +79,7 @@ class ExtendedAlgebra:
         return (0,) * self.rep.quiver.n
 
     def basis(self, classes, alphas=None) -> ExtendedBasisElement:
-        classes = tuple(classes)
-        if len(classes) != self.m:
-            raise UsageError(f"expected {self.m} classes, got {len(classes)}")
-        for cls in classes:
-            if not isinstance(cls, IsoClass):
-                raise UsageError("basis entries must be IsoClass values")
+        classes = self._check_classes(classes)
         if alphas is None:
             alphas = tuple(self._zero_alpha() for _ in range(self.m))
         else:
@@ -169,26 +92,6 @@ class ExtendedAlgebra:
 
     def k_monomial(self, alphas) -> ExtendedBasisElement:
         return self.basis([self.rep.zero_class] * self.m, alphas)
-
-    @property
-    def unit_basis(self) -> ExtendedBasisElement:
-        return self.basis([self.rep.zero_class] * self.m)
-
-    def unit(self) -> ExtendedElement:
-        return self.element({self.unit_basis: self.field.one})
-
-    def element(self, terms: dict) -> ExtendedElement:
-        for b in terms:
-            if b.m != self.m:
-                raise UsageError("basis element has the wrong period")
-        return ExtendedElement(self, dict(terms))
-
-    def monomial(self, basis: ExtendedBasisElement) -> ExtendedElement:
-        return self.element({basis: self.field.one})
-
-    def _check_element(self, other):
-        if not isinstance(other, ExtendedElement) or other.algebra is not self:
-            raise UsageError("operands belong to different algebras")
 
     # -- K-monomial product (closed form) -------------------------------------
 
@@ -206,17 +109,6 @@ class ExtendedAlgebra:
         return t_units, gammas
 
     # -- multiplication ----------------------------------------------------------
-
-    def multiply(self, x: ExtendedElement, y: ExtendedElement) -> ExtendedElement:
-        self._check_element(x)
-        self._check_element(y)
-        acc: dict = {}
-        for a, sa in x.terms.items():
-            for b, sb in y.terms.items():
-                coeff = sa * sb
-                for basis, s in self.basis_product(a, b).items():
-                    combo.add_term(acc, basis, coeff * s)
-        return ExtendedElement(self, acc)
 
     def basis_product(self, a: ExtendedBasisElement, b: ExtendedBasisElement) -> dict:
         key = (a, b)
@@ -253,7 +145,7 @@ class ExtendedAlgebra:
 
         out: dict = {}
         for I in product(*candidates):
-            factors = self._hall_factors(A, B, I)
+            factors = d.hall_factors(A, B, I)
             if factors is None:
                 continue
             dims_i = [np.asarray(cls.dims, dtype=np.int64) for cls in I]
@@ -295,22 +187,6 @@ class ExtendedAlgebra:
                 combo.add_term(out, basis, scalar)
         return out
 
-    def _hall_factors(self, A, B, I):
-        m = self.m
-        d = self.derived
-        rep = self.rep
-        q = Fraction(rep.q)
-        factors = []
-        for i in range(m):
-            X = d.graded({1: I[i], 0: A[i]})
-            Y = d.graded({0: B[i], -1: I[(i - 1) % m]})
-            counts = d.module_fiber_counts(X, Y)
-            if not counts:
-                return None
-            weight = q ** (-d.hall_denominator_exponent(X, Y)) / rep.aut_count(I[i])
-            factors.append({cls: c * weight for cls, c in counts.items()})
-        return factors
-
     # -- parsing ------------------------------------------------------------------
 
     def parse_basis(self, text: str) -> ExtendedBasisElement:
@@ -325,16 +201,11 @@ class ExtendedAlgebra:
         elif text.startswith("K["):
             u_part = ""
             k_part = text
-        classes = [self.rep.zero_class] * self.m
-        if u_part:
-            if not (u_part.startswith("[") and u_part.endswith("]")):
-                raise ParseError(f"module part must be bracketed: {u_part!r}")
-            inner = u_part[1:-1].strip()
-            if inner not in ("", "0"):
-                graded = self.derived.parse_graded(inner)
-                for deg, cls in graded.entries:
-                    i = deg % self.m
-                    classes[i] = self.rep.direct_sum_class(classes[i], cls)
+        classes = (
+            self._parse_module_part(u_part, "module part")
+            if u_part
+            else self._module_classes(())
+        )
         alphas = [list(self._zero_alpha()) for _ in range(self.m)]
         if k_part is not None:
             if not (k_part.startswith("K[") and k_part.endswith("]")):
@@ -357,19 +228,3 @@ class ExtendedAlgebra:
                     i = degree % self.m
                     alphas[i] = [p + q for p, q in zip(alphas[i], dbl)]
         return self.basis(classes, tuple(tuple(a) for a in alphas))
-
-    def parse_element(self, text: str) -> ExtendedElement:
-        from .periodic import _split_coefficient, _split_element
-        from .scalar import parse_scalar
-
-        terms: dict = {}
-        for piece, sign in _split_element(text):
-            coef_text, basis_text = _split_coefficient(piece)
-            scalar = (
-                parse_scalar(self.field, coef_text) if coef_text else self.field.one
-            )
-            if sign < 0:
-                scalar = -scalar
-            basis = self.parse_basis(basis_text)
-            combo.add_term(terms, basis, scalar)
-        return ExtendedElement(self, terms)

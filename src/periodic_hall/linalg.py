@@ -27,10 +27,6 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-def matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    return (a @ b) % q
-
-
 def rref(a: np.ndarray, q: int):
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
     r = np.array(a, dtype=np.int64) % q
@@ -143,6 +139,29 @@ def extend_row_basis(base: np.ndarray, candidates: np.ndarray, q: int) -> np.nda
             picked.append(row)
             r = r2
     return np.array(picked, dtype=np.int64).reshape(len(picked), cols)
+
+
+def intertwining_rows(nvars: int, x_slot, a: np.ndarray, b: np.ndarray, y_slot, q: int):
+    """Rows of the linear system X a - b Y = 0 in a vector of nvars unknowns.
+
+    X and Y are row-major matrix blocks of the unknowns, each given as
+    (offset, rows, cols), or None when the block holds no unknowns (its term
+    then drops out).  Returns None when there are no equations or no
+    unknowns.
+    """
+    n_eq = b.shape[0] * a.shape[1]
+    if n_eq == 0 or (x_slot is None and y_slot is None):
+        return None
+    block = zeros(n_eq, nvars)
+    if x_slot is not None:
+        off, r, c = x_slot
+        # vec(X a) = kron(I, a^T) vec(X)
+        block[:, off : off + r * c] = np.kron(identity(r), a.T)
+    if y_slot is not None:
+        off, r, c = y_slot
+        # vec(b Y) = kron(b, I) vec(Y)
+        block[:, off : off + r * c] -= np.kron(b, identity(c))
+    return block % q
 
 
 def subspaces(n: int, k: int, q: int):

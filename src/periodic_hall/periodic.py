@@ -29,8 +29,7 @@ import numpy as np
 
 from . import combo
 from .derived import DerivedContext
-from .errors import EvenPeriodError, ParseError, UsageError
-from .repcat import IsoClass
+from .errors import EvenPeriodError, UsageError
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,6 @@ class PeriodicObject:
     @property
     def m(self) -> int:
         return len(self.classes)
-
-    @property
-    def is_unit(self) -> bool:
-        return all(c.is_zero for c in self.classes)
 
     def sort_key(self):
         return tuple(c.sort_key() for c in self.classes)
@@ -59,131 +54,27 @@ class PeriodicObject:
     __repr__ = __str__
 
 
-class PeriodicElement:
-    """Finite scalar combination of basis elements."""
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: "PeriodicAlgebra", terms: dict):
-        self.algebra = algebra
-        self.terms = {b: s for b, s in terms.items() if not s.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def __add__(self, other):
-        self.algebra._check_element(other)
-        return PeriodicElement(self.algebra, combo.combine(self.terms, other.terms))
-
-    def __sub__(self, other):
-        self.algebra._check_element(other)
-        return PeriodicElement(
-            self.algebra, combo.combine(self.terms, other.terms, negate_b=True)
-        )
-
-    def __neg__(self):
-        return PeriodicElement(
-            self.algebra, {b: -s for b, s in self.terms.items()}
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, PeriodicElement):
-            return self.algebra.multiply(self, other)
-        return PeriodicElement(self.algebra, combo.scale(self.terms, other))
-
-    def __rmul__(self, other):
-        # scalar * element (elements multiply via __mul__)
-        return PeriodicElement(self.algebra, combo.scale(self.terms, other))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PeriodicElement)
-            and other.algebra is self.algebra
-            and other.terms == self.terms
-        )
-
-    def __str__(self):
-        return combo.format_terms([(str(b), s) for b, s in self.sorted_terms()])
-
-    __repr__ = __str__
-
-    def to_json(self):
-        return [
-            {"basis": str(b), "scalar": s.to_strings(), "scalar_text": str(s)}
-            for b, s in self.sorted_terms()
-        ]
-
-
-class PeriodicAlgebra:
+class PeriodicAlgebra(combo.Algebra):
     """DH_m over a fixed quiver, prime and odd period."""
 
     def __init__(self, derived: DerivedContext, m: int):
-        if m < 1:
-            raise UsageError(f"period must be positive, got {m}")
+        super().__init__(derived, m)
         if m % 2 == 0:
             raise EvenPeriodError(
                 f"the m-periodic derived Hall algebra needs odd m, got {m}"
             )
-        self.derived = derived
-        self.rep = derived.rep
-        self.field = derived.field
-        self.m = m
-        self._product_cache: dict = {}
 
     # -- element builders -----------------------------------------------------
 
     def basis(self, classes) -> PeriodicObject:
-        classes = tuple(classes)
-        if len(classes) != self.m:
-            raise UsageError(f"expected {self.m} classes, got {len(classes)}")
-        for cls in classes:
-            if not isinstance(cls, IsoClass):
-                raise UsageError("basis entries must be IsoClass values")
+        classes = self._check_classes(classes)
         return PeriodicObject(classes)
 
     def basis_from_degrees(self, entries: dict) -> PeriodicObject:
         """{degree: class} with degrees reduced mod m; collisions direct-sum."""
-        classes = [self.rep.zero_class] * self.m
-        for deg, cls in entries.items():
-            i = deg % self.m
-            classes[i] = self.rep.direct_sum_class(classes[i], cls)
-        return self.basis(classes)
-
-    @property
-    def unit_basis(self) -> PeriodicObject:
-        return self.basis([self.rep.zero_class] * self.m)
-
-    def unit(self) -> PeriodicElement:
-        return self.element({self.unit_basis: self.field.one})
-
-    def element(self, terms: dict) -> PeriodicElement:
-        for b in terms:
-            if b.m != self.m:
-                raise UsageError("basis element has the wrong period")
-        return PeriodicElement(self, dict(terms))
-
-    def monomial(self, basis: PeriodicObject) -> PeriodicElement:
-        return self.element({basis: self.field.one})
-
-    def _check_element(self, other):
-        if not isinstance(other, PeriodicElement) or other.algebra is not self:
-            raise UsageError("operands belong to different algebras")
+        return self.basis(self._module_classes(entries.items()))
 
     # -- multiplication ---------------------------------------------------------
-
-    def multiply(self, x: PeriodicElement, y: PeriodicElement) -> PeriodicElement:
-        self._check_element(x)
-        self._check_element(y)
-        acc: dict = {}
-        for a, sa in x.terms.items():
-            for b, sb in y.terms.items():
-                coeff = sa * sb
-                for basis, s in self.basis_product(a, b).items():
-                    combo.add_term(acc, basis, coeff * s)
-        return PeriodicElement(self, acc)
 
     def basis_product(self, a: PeriodicObject, b: PeriodicObject) -> dict:
         key = (a.classes, b.classes)
@@ -212,7 +103,7 @@ class PeriodicAlgebra:
 
         accum: dict = {}
         for I in product(*candidates):
-            factors = self._hall_factors(a.classes, b.classes, I)
+            factors = d.hall_factors(a.classes, b.classes, I)
             if factors is None:
                 continue
             for combo_choice in product(*(f.items() for f in factors)):
@@ -229,99 +120,8 @@ class PeriodicAlgebra:
                 out[PeriodicObject(modules)] = vt * self.field.from_rational(coeff)
         return out
 
-    def _hall_factors(self, A, B, I):
-        """Per-position maps M -> H(M)/|Aut(I_i)| as exact rationals."""
-        m = self.m
-        d = self.derived
-        rep = self.rep
-        q = Fraction(rep.q)
-        factors = []
-        for i in range(m):
-            X = d.graded({1: I[i], 0: A[i]})
-            Y = d.graded({0: B[i], -1: I[(i - 1) % m]})
-            counts = d.module_fiber_counts(X, Y)
-            if not counts:
-                return None
-            weight = q ** (-d.hall_denominator_exponent(X, Y)) / rep.aut_count(I[i])
-            factors.append({cls: c * weight for cls, c in counts.items()})
-        return factors
-
-    # -- parsing / printing -------------------------------------------------------
+    # -- parsing ------------------------------------------------------------------
 
     def parse_basis(self, text: str) -> PeriodicObject:
         """'[S1@0 + P1@2]' (grouped class sums allowed), '[0]' is the unit."""
-        text = text.strip()
-        if not (text.startswith("[") and text.endswith("]")):
-            raise ParseError(f"basis literal must be bracketed: {text!r}")
-        inner = text[1:-1].strip()
-        if inner in ("", "0"):
-            return self.unit_basis
-        graded = self.derived.parse_graded(inner)
-        return self.basis_from_degrees(dict(graded.entries))
-
-    def parse_element(self, text: str) -> PeriodicElement:
-        """Sums 'coef*[basis] + ...'; coefficient literals as in the scalar field."""
-        from .scalar import parse_scalar
-
-        terms: dict = {}
-        for piece, sign in _split_element(text):
-            coef_text, basis_text = _split_coefficient(piece)
-            scalar = (
-                parse_scalar(self.field, coef_text) if coef_text else self.field.one
-            )
-            if sign < 0:
-                scalar = -scalar
-            basis = self.parse_basis(basis_text)
-            combo.add_term(terms, basis, scalar)
-        return PeriodicElement(self, terms)
-
-
-def _split_element(text: str):
-    """Split 'a*[..] + b*[..] - c*[..]' at top level, tracking signs."""
-    text = text.strip()
-    if not text:
-        raise ParseError("empty element literal")
-    pieces = []
-    depth = 0
-    sign = 1
-    current = ""
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch in "+-" and current.strip().endswith("]"):
-            pieces.append((current.strip(), sign))
-            sign = 1 if ch == "+" else -1
-            current = ""
-        else:
-            current += ch
-        i += 1
-    if current.strip():
-        pieces.append((current.strip(), sign))
-    if not pieces:
-        raise ParseError(f"no terms in element literal {text!r}")
-    return pieces
-
-
-def _split_coefficient(piece: str):
-    """'<coef>*[basis...]' -> (coef or '', basis literal).
-
-    The basis part may also start with 'K[' (pure K-monomials in the
-    extended algebra), so a '[' directly preceded by 'K' starts the basis.
-    """
-    idx = piece.find("[")
-    if idx < 0:
-        raise ParseError(f"term {piece!r} has no bracketed basis")
-    if idx > 0 and piece[idx - 1] == "K":
-        idx -= 1
-    coef = piece[:idx].strip()
-    if coef.endswith("*"):
-        coef = coef[:-1].strip()
-    if coef.startswith("-"):
-        # leading sign folded here keeps '-[S1@0]' parseable
-        rest = coef[1:].strip()
-        coef = f"-1*{rest}" if rest else "-1"
-    return coef, piece[idx:]
+        return self.basis(self._parse_module_part(text.strip(), "basis literal"))

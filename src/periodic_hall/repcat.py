@@ -175,6 +175,70 @@ def direct_sum_reps(quiver: Quiver, a: Rep, b: Rep) -> Rep:
     return Rep(dims, tuple(mats))
 
 
+class _VarLayout:
+    """Flat coordinates for a family of per-(degree, vertex) matrices."""
+
+    def __init__(self, blocks):
+        self.index = {}  # (degree, vertex) -> (offset, rows, cols), empty ones too
+        self.blocks = []  # (degree, vertex, rows, cols, offset) holding unknowns
+        offset = 0
+        for degree, vertex, rows, cols in blocks:
+            self.index[(degree, vertex)] = (offset, rows, cols)
+            if rows and cols:
+                self.blocks.append((degree, vertex, rows, cols, offset))
+                offset += rows * cols
+        self.size = offset
+
+    def slot(self, degree, vertex):
+        """(offset, rows, cols) of a block that holds unknowns, else None."""
+        slot = self.index.get((degree, vertex))
+        return slot if slot is not None and slot[1] and slot[2] else None
+
+    def stack(self, rows) -> np.ndarray:
+        """One constraint matrix over these unknowns from row blocks."""
+        if rows:
+            return np.concatenate(rows, axis=0)
+        return linalg.zeros(0, self.size)
+
+    def unflatten(self, vec):
+        """{degree: {vertex: matrix}} over the blocks that hold unknowns."""
+        out = {}
+        for degree, vertex, rows, cols, offset in self.blocks:
+            out.setdefault(degree, {})[vertex] = vec[
+                offset : offset + rows * cols
+            ].reshape(rows, cols)
+        return out
+
+    def matrices(self, vec) -> dict:
+        """{degree: per-vertex matrices}, empty blocks included."""
+        out = {}
+        for (degree, _), (offset, rows, cols) in self.index.items():
+            block = vec[offset : offset + rows * cols].reshape(rows, cols)
+            out.setdefault(degree, []).append(block)
+        return {degree: tuple(mats) for degree, mats in out.items()}
+
+
+def _morphism_constraints(ctx: "RepContext", layout: _VarLayout, pairs) -> list:
+    """Rows forcing each layout block to be a morphism of representations.
+
+    pairs: degree -> (source Rep, target Rep).
+    """
+    rows = []
+    for degree, (src, dst) in pairs.items():
+        for idx, (s, t) in enumerate(ctx.quiver.arrows):
+            block = linalg.intertwining_rows(
+                layout.size,
+                layout.slot(degree, t),
+                src.mats[idx],
+                dst.mats[idx],
+                layout.slot(degree, s),
+                ctx.q,
+            )
+            if block is not None:
+                rows.append(block)
+    return rows
+
+
 @dataclass(frozen=True)
 class IsoClass:
     """Isomorphism class: canonical multiset of indecomposable labels."""
@@ -481,15 +545,6 @@ class RepContext:
             out.update(self._cell(dims).classes)
         return sorted(out, key=IsoClass.sort_key)
 
-    def indecomposables_upto(self, bound) -> list:
-        self.iso_classes_upto(bound)
-        bound = tuple(bound)
-        return [
-            self._intern(((i.id, 1),))
-            for i in sorted(self._indecs, key=lambda i: (sum(i.dims), i.name))
-            if all(d <= b for d, b in zip(i.dims, bound))
-        ]
-
     # -- named constructions -------------------------------------------------
 
     def simple_rep(self, v: int) -> Rep:
@@ -603,45 +658,20 @@ class RepContext:
 
     # -- Hom, Ext, Aut ---------------------------------------------------------
 
-    def _intertwiner_matrix(self, repM: Rep, repN: Rep):
-        """Constraint matrix whose kernel is Hom(M, N), plus variable slices.
-
-        Unknowns are the entries of phi_v: M_v -> N_v, flattened per vertex.
-        """
-        n = self.quiver.n
-        sizes = [repN.dims[v] * repM.dims[v] for v in range(n)]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        nvars = int(offsets[-1])
-        rows = []
-        for idx, (s, t) in enumerate(self.quiver.arrows):
-            x = repM.mats[idx]
-            y = repN.mats[idx]
-            n_eq = repN.dims[t] * repM.dims[s]
-            if n_eq == 0:
-                continue
-            block = linalg.zeros(n_eq, nvars)
-            # phi_t @ x  contributes kron(I_{N_t}, x^T) on phi_t variables
-            if sizes[t]:
-                block[:, offsets[t] : offsets[t + 1]] = np.kron(
-                    linalg.identity(repN.dims[t]), x.T
-                )
-            # -y @ phi_s contributes -kron(y, I_{M_s}) on phi_s variables
-            if sizes[s]:
-                block[:, offsets[s] : offsets[s + 1]] -= np.kron(
-                    y, linalg.identity(repM.dims[s])
-                )
-            rows.append(block % self.q)
-        if rows:
-            a = np.concatenate(rows, axis=0)
-        else:
-            a = linalg.zeros(0, nvars)
-        return a, offsets
+    def _hom_system(self, repM: Rep, repN: Rep):
+        """Layout of the unknowns phi_v: M_v -> N_v and the matrix whose
+        kernel is Hom(M, N)."""
+        layout = _VarLayout(
+            (0, v, repN.dims[v], repM.dims[v]) for v in range(self.quiver.n)
+        )
+        rows = _morphism_constraints(self, layout, {0: (repM, repN)})
+        return layout, layout.stack(rows)
 
     def hom_dim(self, M: IsoClass, N: IsoClass) -> int:
         key = (M.key, N.key)
         h = self._hom_cache.get(key)
         if h is None:
-            a, _ = self._intertwiner_matrix(self.representative(M), self.representative(N))
+            _, a = self._hom_system(self.representative(M), self.representative(N))
             h = a.shape[1] - linalg.rank(a, self.q)
             self._hom_cache[key] = h
         return h
@@ -656,20 +686,33 @@ class RepContext:
 
     def hom_basis(self, repM: Rep, repN: Rep) -> list:
         """Basis of Hom(M, N) as tuples of per-vertex matrices."""
-        a, offsets = self._intertwiner_matrix(repM, repN)
+        layout, a = self._hom_system(repM, repN)
         ker = linalg.kernel(a, self.q)
-        out = []
-        for k in range(ker.shape[1]):
-            vec = ker[:, k]
-            out.append(self._unflatten_hom(vec, repM, repN, offsets))
-        return out
+        return [layout.matrices(ker[:, k])[0] for k in range(ker.shape[1])]
 
-    def _unflatten_hom(self, vec, repM, repN, offsets):
-        mats = []
-        for v in range(self.quiver.n):
-            block = vec[offsets[v] : offsets[v + 1]]
-            mats.append(block.reshape(repN.dims[v], repM.dims[v]))
-        return tuple(mats)
+    def _invertible_maps(self, basis, dims, space: str):
+        """Coefficient vectors of the invertible maps in span(basis).
+
+        Brute force over F_q^{len(basis)}; dims is the common dimension
+        vector of source and target, space names the span in the cap error.
+        """
+        h = len(basis)
+        if self.q**h > self.max_brute_force:
+            raise ResourceLimitError(f"{space} space too large to enumerate ({h} dims)")
+        for coeffs in product(range(self.q), repeat=h):
+            ok = True
+            for v in range(self.quiver.n):
+                if dims[v] == 0:
+                    continue
+                phi = sum(
+                    (c * basis[k][v] for k, c in enumerate(coeffs) if c),
+                    linalg.zeros(dims[v], dims[v]),
+                )
+                if not linalg.is_invertible(phi % self.q, self.q):
+                    ok = False
+                    break
+            if ok:
+                yield coeffs
 
     def is_isomorphic(self, repA: Rep, repB: Rep) -> bool:
         """Exhaustive invertible-intertwiner search; independent of orbits."""
@@ -677,25 +720,8 @@ class RepContext:
             return False
         if not any(repA.dims):
             return True
-        basis = self.hom_basis(repA, repB)
-        h = len(basis)
-        if self.q**h > self.max_brute_force:
-            raise ResourceLimitError(f"Hom space too large to search ({h} dims)")
-        for coeffs in product(range(self.q), repeat=h):
-            if not any(coeffs):
-                continue
-            ok = True
-            for v in range(self.quiver.n):
-                phi = sum(
-                    (c * basis[k][v] for k, c in enumerate(coeffs) if c),
-                    linalg.zeros(repB.dims[v], repA.dims[v]),
-                )
-                if not linalg.is_invertible(phi % self.q, self.q):
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
+        maps = self._invertible_maps(self.hom_basis(repA, repB), repA.dims, "Hom")
+        return next(maps, None) is not None
 
     def aut_count(self, M: IsoClass) -> int:
         count = self._aut_cache.get(M.key)
@@ -703,24 +729,7 @@ class RepContext:
             return count
         rep = self.representative(M)
         basis = self.hom_basis(rep, rep)
-        h = len(basis)
-        if self.q**h > self.max_brute_force:
-            raise ResourceLimitError(f"End space too large to enumerate ({h} dims)")
-        count = 0
-        for coeffs in product(range(self.q), repeat=h):
-            ok = True
-            for v in range(self.quiver.n):
-                if rep.dims[v] == 0:
-                    continue
-                phi = sum(
-                    (c * basis[k][v] for k, c in enumerate(coeffs) if c),
-                    linalg.zeros(rep.dims[v], rep.dims[v]),
-                )
-                if not linalg.is_invertible(phi % self.q, self.q):
-                    ok = False
-                    break
-            if ok:
-                count += 1
+        count = sum(1 for _ in self._invertible_maps(basis, rep.dims, "End"))
         self._aut_cache[M.key] = count
         return count
 

@@ -2,6 +2,7 @@
 
 import json
 
+from periodic_hall import suites
 from periodic_hall.cli import main
 
 
@@ -128,13 +129,41 @@ def test_verify_embedding_small(capsys):
     assert payload["checked"] == 169  # (1 + 3 classes * 4 slots)^2... enumerated
 
 
-def test_verify_partition_small(capsys):
+def test_verify_partition_small(capsys, tmp_path, monkeypatch):
     code, out, _ = run(
         capsys, "verify", "--quiver", "A2", "--q", "2", "--m", "3",
         "partition", "--total-dim", "1",
     )
     assert code == 0
     assert "passed: True" in out
+
+    # the count mode reaches the sweep from the flag and from the config key
+    modes = []
+    sweep = suites.partition_sweep
+
+    def recording_sweep(dctx, max_total, mode):
+        modes.append(mode)
+        return sweep(dctx, max_total, mode=mode)
+
+    monkeypatch.setattr(suites, "partition_sweep", recording_sweep)
+    config = tmp_path / "hall.cfg"
+    config.write_text("count-mode = total\n")
+    inputs = [
+        ("--count-mode", "quotient"),
+        ("--count-mode", "total"),
+        ("--config", str(config)),
+    ]
+    payloads = []
+    for extra in inputs:
+        code, out, _ = run(
+            capsys, "verify", "--quiver", "A2", "--q", "2", "--m", "3",
+            "partition", "--total-dim", "1", "--format", "json", *extra,
+        )
+        assert code == 0
+        payloads.append(json.loads(out))
+    assert modes == ["quotient", "total", "total"]
+    assert payloads[0]["passed"] is True
+    assert payloads[0] == payloads[1] == payloads[2]
 
 
 def test_list_iso_classes(capsys):

@@ -32,6 +32,30 @@ def test_mismatched_contexts_rejected(a2_q2, a2_q3):
         Embedding(P, E)
 
 
+def test_operands_from_different_algebras_rejected(a2_q2):
+    # both algebras build the same Element type; only the owning algebra
+    # tells their elements apart
+    P = PeriodicAlgebra(a2_q2, 3)
+    E = ExtendedAlgebra(a2_q2, 3)
+    other = PeriodicAlgebra(a2_q2, 3)
+    S1 = a2_q2.rep.class_by_name("S1")
+    Z = a2_q2.rep.zero_class
+    x = P.monomial(P.basis([S1, Z, Z]))
+    cases = [
+        lambda: x + E.unit(),
+        lambda: E.unit() - x,
+        lambda: E.multiply(E.unit(), x),
+        lambda: E.unit() * x,
+        lambda: x + other.unit(),
+        lambda: x * other.monomial(other.basis([S1, Z, Z])),
+    ]
+    for case in cases:
+        with pytest.raises(UsageError, match="operands belong to different algebras"):
+            case()
+    assert P.unit() != E.unit()
+    assert P.unit() != other.unit()
+
+
 def test_phi_m1(a1_q2):
     emb = make_embedding(a1_q2, 1)
     ctx = emb.rep

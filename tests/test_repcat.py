@@ -3,6 +3,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from periodic_hall import linalg
@@ -172,6 +173,32 @@ def test_intertwiner_isomorphism_agrees_with_orbits(ctx_factory):
     for c in classes:
         moved = ctx.random_base_change(reps[c], rng)
         assert ctx.is_isomorphic(reps[c], moved)
+
+
+@pytest.mark.parametrize(
+    "quiver, bound",
+    [("A2", (2, 2)), ("A3", (1, 1, 1)), ("2; 1->2, 1->2", (2, 2))],
+)
+@pytest.mark.parametrize("q", [2, 3])
+def test_hom_basis_intertwines(ctx_factory, quiver, bound, q):
+    ctx = ctx_factory(quiver, q)
+    classes = ctx.iso_classes_upto(bound)
+    for M, N in product(classes, repeat=2):
+        repM, repN = ctx.representative(M), ctx.representative(N)
+        basis = ctx.hom_basis(repM, repN)
+        assert len(basis) == ctx.hom_dim(M, N)
+        for phi in basis:
+            for v in range(ctx.quiver.n):
+                assert phi[v].shape == (repN.dims[v], repM.dims[v])
+            for idx, (s, t) in enumerate(ctx.quiver.arrows):
+                lhs = (phi[t] @ repM.mats[idx]) % q
+                rhs = (repN.mats[idx] @ phi[s]) % q
+                assert (lhs == rhs).all(), (M, N, idx)
+        if basis:
+            flat = np.stack(
+                [np.concatenate([m.reshape(-1) for m in phi]) for phi in basis]
+            )
+            assert linalg.rank(flat, q) == len(basis)  # a basis, not a spanning set
 
 
 def test_orbit_classification_matches_intertwiner_on_random_reps(ctx_factory):
