@@ -11,7 +11,8 @@ The config file holds `key = value` lines mirroring the flags; explicit
 flags win.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
-3 even period where odd is required, 4 resource cap exceeded.
+3 even period where odd is required, 4 resource cap exceeded,
+5 internal invariant violated.
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ import sys
 
 from .derived import DerivedContext
 from .embed import Embedding
-from .errors import EvenPeriodError, HallError, ParseError, ResourceLimitError, UsageError
+from .errors import (
+    EvenPeriodError,
+    HallError,
+    InvariantError,
+    ParseError,
+    ResourceLimitError,
+    UsageError,
+)
 from .extended import ExtendedAlgebra
 from .periodic import PeriodicAlgebra
 from .repcat import Quiver, RepContext
@@ -38,6 +46,11 @@ _CONFIG_KEYS = {
     "cap-dim": int,
     "cap-cell": int,
     "count-mode": str,
+}
+# keys whose values are one of a fixed set, as flags and in config files
+_CHOICES = {
+    "format": ("text", "json"),
+    "count-mode": ("quotient", "total"),
 }
 
 
@@ -59,6 +72,12 @@ def _read_config(path: str) -> dict:
                     values[key] = _CONFIG_KEYS[key](value.strip())
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: bad value: {exc}") from exc
+                choices = _CHOICES.get(key)
+                if choices is not None and values[key] not in choices:
+                    raise ParseError(
+                        f"{path}:{lineno}: {key} must be one of "
+                        f"{', '.join(choices)}, got {values[key]!r}"
+                    )
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     return values
@@ -69,13 +88,13 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quiver", help="preset A1/A2/A3/... or 'n; s->t, ...'")
     parser.add_argument("--q", type=int, help="prime field size")
     parser.add_argument("--m", type=int, help="period")
-    parser.add_argument("--format", choices=("text", "json"), help="output format")
+    parser.add_argument("--format", choices=_CHOICES["format"], help="output format")
     parser.add_argument("--seed", type=int, help="seed for randomized sweeps")
     parser.add_argument("--cap-dim", type=int, help="chain-map space dimension cap")
     parser.add_argument("--cap-cell", type=int, help="per-cell representation cap")
     parser.add_argument(
         "--count-mode",
-        choices=("quotient", "total"),
+        choices=_CHOICES["count-mode"],
         help="fiber counting strategy",
     )
 
@@ -235,6 +254,12 @@ def _cmd_verify(args) -> int:
     raise UsageError(f"unknown suite {args.suite!r}")
 
 
+def _require_flags(args, *names) -> None:
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"list {args.what} needs {', '.join(missing)}")
+
+
 def _cmd_list(args) -> int:
     settings = Settings(args)
     dctx = settings.derived_context()
@@ -258,6 +283,7 @@ def _cmd_list(args) -> int:
         return 0
 
     if args.what == "hall-number":
+        _require_flags(args, "L", "M", "N")
         L = rep.class_by_name(args.L)
         M = rep.class_by_name(args.M)
         N = rep.class_by_name(args.N)
@@ -277,6 +303,7 @@ def _cmd_list(args) -> int:
         return 0
 
     if args.what == "derived-hall-number":
+        _require_flags(args, "X", "Y", "L")
         X = dctx.parse_graded(args.X)
         Y = dctx.parse_graded(args.Y)
         L = dctx.parse_graded(args.L)
@@ -355,6 +382,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except InvariantError as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return 5
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,6 +27,17 @@ def add_term(acc: dict, basis, scalar) -> None:
         acc[basis] = scalar
 
 
+def alternating_sum(dims, i: int, ks) -> list:
+    """sum_{k in ks} (-1)^k dims[(i + k) mod m] for m integer vectors dims."""
+    m = len(dims)
+    out = [0] * len(dims[0])
+    for k in ks:
+        sign = -1 if k % 2 else 1
+        for v, x in enumerate(dims[(i + k) % m]):
+            out[v] += sign * x
+    return out
+
+
 def format_terms(pairs) -> str:
     """pairs: [(basis_string, Scalar)]; renders 'c*[..] + c*[..]'."""
     if not pairs:

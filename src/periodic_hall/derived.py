@@ -29,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .errors import ParseError, ResourceLimitError, UsageError
+from .errors import InvariantError, ParseError, ResourceLimitError, UsageError
 from .repcat import (
     IsoClass,
     Rep,
@@ -39,6 +39,8 @@ from .repcat import (
     direct_sum_reps,
 )
 from .scalar import Scalar, ScalarField
+
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -281,7 +283,11 @@ class ConeCounter:
         # concrete chain-map model to the hereditary Hom/Ext bookkeeping
         expected = self.dctx.db_hom_dim(self.X, self.Y.shift(1))
         got = self.chain_basis.shape[0] - self.homotopy_dim
-        assert got == expected, (self.X, self.Y, got, expected)
+        if got != expected:
+            raise InvariantError(
+                f"chain maps {self.X} -> ({self.Y})[1] modulo homotopy have "
+                f"dimension {got}, but dim Hom(X, Y[1]) is {expected}"
+            )
 
     # -- counting ------------------------------------------------------------------
 
@@ -311,7 +317,11 @@ class ConeCounter:
             out = {}
             for L, c in tally.items():
                 cnt, rem = divmod(c, divisor)
-                assert rem == 0, "fiber size not divisible by coset size"
+                if rem:
+                    raise InvariantError(
+                        f"fiber {L} of {self.X} -> ({self.Y})[1] has {c} chain "
+                        f"maps, not a multiple of the coset size {divisor}"
+                    )
                 out[L] = cnt
             tally = out
         return tally
@@ -376,7 +386,10 @@ def _homology_rep(ctx: RepContext, term: Rep, d_in, d_out) -> Rep:
             continue
         vecs = (term.mats[idx] @ comps[s]) % q
         coords = linalg.solve(w_mats[t], vecs, q)
-        assert coords is not None, "homology arrow image left the kernel"
+        if coords is None:
+            raise InvariantError(
+                f"homology arrow {s + 1}->{t + 1} maps out of the kernel"
+            )
         mats.append(coords[ranks_in[t] :, :])
     return Rep(dims, tuple(mats))
 
@@ -401,6 +414,7 @@ class DerivedContext:
         self._stalk_res: dict = {}
         self._res_cache: dict = {}
         self._fiber_cache: dict = {}
+        self._hall_table: dict = {}  # class keys of (A_i, B_i, I_i, I_{i-1})
 
     # -- graded objects -----------------------------------------------------
 
@@ -525,7 +539,10 @@ class DerivedContext:
                     )
                     pi[w] = np.concatenate([pi[w], block], axis=1)
         for v in range(n):
-            assert linalg.rank(pi[v], q) == rep.dims[v], "cover is not surjective"
+            if linalg.rank(pi[v], q) != rep.dims[v]:
+                raise InvariantError(
+                    f"projective cover of {cls.name} is not surjective at vertex {v + 1}"
+                )
 
         iota = [linalg.kernel(pi[v], q) for v in range(n)]
         k_dims = tuple(iota[v].shape[1] for v in range(n))
@@ -533,7 +550,10 @@ class DerivedContext:
         for idx, (s, t) in enumerate(quiver.arrows):
             image = (cover.mats[idx] @ iota[s]) % q
             z = linalg.solve(iota[t], image, q)
-            assert z is not None, "syzygy is not arrow-closed"
+            if z is None:
+                raise InvariantError(
+                    f"syzygy of {cls.name} is not closed under arrow {s + 1}->{t + 1}"
+                )
             k_mats.append(z)
         syzygy = Rep(k_dims, tuple(k_mats))
         result = (syzygy, cover, tuple(m % q for m in iota))
@@ -611,20 +631,37 @@ class DerivedContext:
     def hall_factors(self, A, B, I):
         """Per position i, the map M -> H(M; I_i[1] + A_i, B_i + I_{i-1}[-1])
         / |Aut(I_i)| as exact rationals (indices mod the period), for module
-        tuples A, B and connecting classes I; None if some fiber is empty."""
+        tuples A, B and connecting classes I; None if some fiber is empty.
+
+        Each position's map depends only on (A_i, B_i, I_i, I_{i-1}) and is
+        computed once per context; the returned dicts are the table's own
+        entries, so callers read them and must not mutate them.
+        """
         m = len(A)
-        q = Fraction(self.q)
+        table = self._hall_table
         factors = []
         for i in range(m):
-            X = self.graded({1: I[i], 0: A[i]})
-            Y = self.graded({0: B[i], -1: I[(i - 1) % m]})
-            counts = self.module_fiber_counts(X, Y)
-            if not counts:
+            a, b, i_cls, i_prev = A[i], B[i], I[i], I[i - 1]
+            key = (a.key, b.key, i_cls.key, i_prev.key)
+            factor = table.get(key, _MISSING)
+            if factor is _MISSING:
+                factor = table[key] = self._hall_factor(a, b, i_cls, i_prev)
+            if factor is None:
                 return None
-            weight = q ** (-self.hall_denominator_exponent(X, Y))
-            weight /= self.rep.aut_count(I[i])
-            factors.append({cls: c * weight for cls, c in counts.items()})
+            factors.append(factor)
         return factors
+
+    def _hall_factor(self, a, b, i_cls, i_prev):
+        """M -> H(M; I[1] + A, B + I'[-1]) / |Aut(I)|, or None if the fiber
+        is empty (I' is the connecting class one position back)."""
+        X = self.graded({1: i_cls, 0: a})
+        Y = self.graded({0: b, -1: i_prev})
+        counts = self.module_fiber_counts(X, Y)
+        if not counts:
+            return None
+        weight = Fraction(self.q) ** (-self.hall_denominator_exponent(X, Y))
+        weight /= self.rep.aut_count(i_cls)
+        return {cls: c * weight for cls, c in counts.items()}
 
     def derived_hall_number(self, X: GradedObject, Y: GradedObject, L: GradedObject) -> Scalar:
         """|Ext^1(X,Y)_L| / (|Hom(X,Y)| * {X,Y}) as an exact scalar."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combo import Element
+from .combo import Element, alternating_sum
 from .errors import UsageError
 from .extended import ExtendedAlgebra, ExtendedBasisElement, convention_range
 from .periodic import PeriodicAlgebra, PeriodicObject
@@ -40,20 +40,13 @@ class PhiImage:
 
 def phi_exponent_t_units(dims, m: int, euler) -> int:
     """Embedding exponent in quarter units of v, for any odd m (also m=1)."""
-    dims = [np.asarray(d, dtype=np.int64) for d in dims]
-    x = [
-        sum((-1) ** k * dims[(i + k) % m] for k in range(m)) for i in range(m)
-    ]
+    x = [alternating_sum(dims, i, range(m)) for i in range(m)]
     units = 0
     for i in convention_range(m):
         units += euler(x[i % m], x[(i + 1) % m])
     units -= euler(x[1 % m], x[0])
     for i in range(m):
-        alt = sum(
-            ((-1) ** k * dims[(i + k) % m] for k in range(1, m)),
-            np.zeros_like(dims[0]),
-        )
-        units += 4 * euler(dims[i], alt)
+        units += 4 * euler(dims[i], alternating_sum(dims, i, range(1, m)))
     return units
 
 
@@ -70,17 +63,24 @@ class Embedding:
         self.m = periodic.m  # PeriodicAlgebra already rejects even m
         self.rep = periodic.rep
         self.field = periodic.field
+        self._phi_cache: dict = {}  # module tuple -> PhiImage
 
     # -- the map -----------------------------------------------------------
 
     def phi_basis(self, b: PeriodicObject) -> PhiImage:
+        image = self._phi_cache.get(b.classes)
+        if image is None:
+            image = self._phi_cache[b.classes] = self._phi_basis(b)
+        return image
+
+    def _phi_basis(self, b: PeriodicObject) -> PhiImage:
         m = self.m
-        dims = [np.asarray(cls.dims, dtype=np.int64) for cls in b.classes]
+        dims = [cls.dims for cls in b.classes]
         scalar = self.field.v_power(phi_exponent_t_units(dims, m, self.rep.euler))
-        alphas = []
-        for i in range(m):
-            x_next = sum((-1) ** k * dims[(i + 1 + k) % m] for k in range(m))
-            alphas.append(tuple(int(-t) for t in x_next))
+        alphas = [
+            tuple(-t for t in alternating_sum(dims, i + 1, range(m)))
+            for i in range(m)
+        ]
         return PhiImage(scalar, self.extended.basis(b.classes, alphas))
 
     def phi(self, element: Element) -> Element:

@@ -24,3 +24,7 @@ class ResourceLimitError(HallError):
 
 class UsageError(HallError):
     """Inconsistent arguments (mismatched contexts, bad primes, ...)."""
+
+
+class InvariantError(HallError):
+    """An internal consistency check failed; the result cannot be trusted."""

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from . import combo
 from .errors import ParseError, UsageError
 
@@ -124,32 +122,32 @@ class ExtendedAlgebra(combo.Algebra):
         rep = self.rep
         A, alphas = x.classes, x.alphas
         B, betas = y.classes, y.alphas
-        dims_a = [np.asarray(cls.dims, dtype=np.int64) for cls in A]
-        dims_b = [np.asarray(cls.dims, dtype=np.int64) for cls in B]
+        dims_a = [cls.dims for cls in A]
+        dims_b = [cls.dims for cls in B]
 
         # prefactor exponent a0, in quarter units of v
         a0 = 0
         for i in range(m):
             a0 += 4 * rep.euler(dims_a[i], dims_b[i])
         for i in range(m):
-            delta = 2 * (dims_b[i] - dims_b[(i + 1) % m])
-            a0 += rep.sym_t_units(alphas[i], tuple(int(t) for t in delta))
+            delta = [2 * (s - t) for s, t in zip(dims_b[i], dims_b[(i + 1) % m])]
+            a0 += rep.sym_t_units(alphas[i], delta)
         for i in convention_range(m):
             a0 += rep.sym_t_units(alphas[i % m], betas[(i - 1) % m])
         a0 -= rep.sym_t_units(alphas[m - 1], betas[0])
 
         candidates = []
         for i in range(m):
-            bound = np.minimum(dims_b[i], dims_a[(i + 1) % m])
-            candidates.append(rep.iso_classes_upto(tuple(int(t) for t in bound)))
+            bound = tuple(map(min, dims_b[i], dims_a[(i + 1) % m]))
+            candidates.append(rep.iso_classes_upto(bound))
 
         out: dict = {}
         for I in product(*candidates):
             factors = d.hall_factors(A, B, I)
             if factors is None:
                 continue
-            dims_i = [np.asarray(cls.dims, dtype=np.int64) for cls in I]
-            dbl_i = [tuple(int(t) for t in 2 * v) for v in dims_i]
+            dims_i = [cls.dims for cls in I]
+            dbl_i = [tuple(2 * t for t in v) for v in dims_i]
 
             # the I-to-(alpha+beta) coupling must use the symmetric form:
             # with the plain Euler pairing the algebra fails associativity
@@ -177,10 +175,13 @@ class ExtendedAlgebra(combo.Algebra):
                 coeff = Fraction(1)
                 for _, c in combo_choice:
                     coeff *= c
-                dims_mm = [np.asarray(cls.dims, dtype=np.int64) for cls in modules]
                 m_exp = 0
                 for i in range(m):
-                    m_exp += rep.euler(dims_mm[i] - dims_mm[(i + 1) % m], dims_i[i])
+                    diff = [
+                        s - t
+                        for s, t in zip(modules[i].dims, modules[(i + 1) % m].dims)
+                    ]
+                    m_exp += rep.euler(diff, dims_i[i])
                 scalar = self.field.v_power(a0 + inner + 4 * m_exp)
                 scalar = scalar * self.field.from_rational(coeff)
                 basis = ExtendedBasisElement(modules, gammas)

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from . import combo
 from .derived import DerivedContext
 from .errors import EvenPeriodError, UsageError
@@ -88,18 +86,18 @@ class PeriodicAlgebra(combo.Algebra):
         m = self.m
         d = self.derived
         rep = self.rep
-        dims_a = [np.asarray(cls.dims, dtype=np.int64) for cls in a.classes]
-        dims_b = [np.asarray(cls.dims, dtype=np.int64) for cls in b.classes]
+        dims_a = [cls.dims for cls in a.classes]
+        dims_b = [cls.dims for cls in b.classes]
 
         twist = 0
         for i in range(m):
-            alt = sum((-1) ** k * dims_a[(i + k) % m] for k in range(m))
+            alt = combo.alternating_sum(dims_a, i, range(m))
             twist += rep.euler(alt, dims_b[i])
 
         candidates = []
         for i in range(m):
-            bound = np.minimum(dims_b[i], dims_a[(i + 1) % m])
-            candidates.append(rep.iso_classes_upto(tuple(int(x) for x in bound)))
+            bound = tuple(map(min, dims_b[i], dims_a[(i + 1) % m]))
+            candidates.append(rep.iso_classes_upto(bound))
 
         accum: dict = {}
         for I in product(*candidates):

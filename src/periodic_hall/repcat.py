@@ -20,11 +20,12 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 import numpy as np
 
 from . import linalg
-from .errors import ParseError, ResourceLimitError, UsageError
+from .errors import InvariantError, ParseError, ResourceLimitError, UsageError
 from .scalar import is_prime
 
 _PRESET = re.compile(r"^A(\d+)$", re.IGNORECASE)
@@ -49,11 +50,6 @@ class Quiver:
         self.n = n
         self.arrows = arrows
         self._check_acyclic()
-        # Euler matrix: <d, e> = d . E . e
-        e = np.eye(n, dtype=np.int64)
-        for s, t in arrows:
-            e[s, t] -= 1
-        self.euler_matrix = e
 
     def _check_acyclic(self):
         indeg = [0] * self.n
@@ -107,9 +103,11 @@ class Quiver:
             raise ParseError(str(exc)) from exc
 
     def euler(self, d, e) -> int:
-        d = np.asarray(d, dtype=np.int64)
-        e = np.asarray(e, dtype=np.int64)
-        return int(d @ self.euler_matrix @ e)
+        """<d, e> = sum_v d_v e_v - sum_{s->t} d_s e_t for vertex-length vectors."""
+        total = sum(map(mul, d, e))
+        for s, t in self.arrows:
+            total -= d[s] * e[t]
+        return int(total)
 
     def paths_from(self, v: int):
         """All paths starting at v as (endpoint, arrow-index tuple)."""
@@ -463,7 +461,7 @@ class RepContext:
                     oid = int(orbit_of[cell.encode(rep.mats)])
                     cls = self._intern(key)
                     if cell.classes[oid] not in (None, cls):
-                        raise AssertionError(
+                        raise InvariantError(
                             f"orbit {oid} in cell {dims} matched two classes"
                         )
                     cell.classes[oid] = cls
@@ -678,7 +676,11 @@ class RepContext:
 
     def ext_dim(self, M: IsoClass, N: IsoClass) -> int:
         e = self.hom_dim(M, N) - self.euler(M.dims, N.dims)
-        assert e >= 0, (M, N)
+        if e < 0:
+            raise InvariantError(
+                f"dim Ext^1({M.name}, {N.name}) = {e} is negative: "
+                f"Hom and the Euler form disagree"
+            )
         return e
 
     def hom_ext_dim(self, M: IsoClass, N: IsoClass) -> tuple:

@@ -150,6 +150,12 @@ class Scalar:
         other = self._check(other)
         if other is None:
             return NotImplemented
+        if len(self._c) == 1 and len(other._c) == 1:
+            # monomial fast path: (a t^i)(b t^j) = a b q^k t^r, k in {0, 1}
+            ((i, a),) = self._c.items()
+            ((j, b),) = other._c.items()
+            k, r = divmod(i + j, _DEG)
+            return Scalar(self.field, {r: a * b * self.field.q if k else a * b})
         q = Fraction(self.field.q)
         data = {}
         for i, a in self._c.items():

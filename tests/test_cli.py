@@ -2,8 +2,11 @@
 
 import json
 
+import pytest
+
 from periodic_hall import suites
 from periodic_hall.cli import main
+from periodic_hall.repcat import RepContext
 
 
 def run(capsys, *argv):
@@ -239,3 +242,38 @@ def test_element_roundtrip_through_cli_text(capsys):
         P.parse_element("[S1@0 + S2@1]"), P.parse_element("[P1@0]")
     )
     assert str(reparsed) == str(direct)
+
+
+@pytest.mark.parametrize("key, value", [("format", "jsn"), ("count-mode", "totl")])
+def test_config_rejects_value_outside_choices(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"quiver = A2\n{key} = {value}\n", encoding="utf-8")
+    code, out, err = run(capsys, "list", "iso-classes", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"bad.cfg:2: {key} must be one of" in err
+
+
+@pytest.mark.parametrize(
+    "what, given, missing",
+    [
+        ("hall-number", ["--M", "S1"], "--L, --N"),
+        ("derived-hall-number", ["--L", "P1@0"], "--X, --Y"),
+    ],
+)
+def test_list_missing_operands_is_usage_error(capsys, what, given, missing):
+    code, out, err = run(capsys, "list", what, "--quiver", "A2", *given)
+    assert code == 2
+    assert out == ""
+    assert f"list {what} needs {missing}" in err
+
+
+def test_invariant_violation_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(RepContext, "hom_dim", lambda self, M, N: -5)
+    code, out, err = run(
+        capsys, "list", "derived-hall-number", "--quiver", "A2", "--q", "2",
+        "--X", "S1@0", "--Y", "S2@0", "--L", "P1@0",
+    )
+    assert code == 5
+    assert out == ""
+    assert "internal invariant violated" in err

@@ -1,6 +1,8 @@
 """Derived-category model: Hom/brace bookkeeping, cones, fiber counts."""
 
 import random
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -206,3 +208,55 @@ def test_resource_cap_on_chain_maps():
     Y = d.stalk(ctx.class_by_name("S2"))
     with pytest.raises(ResourceLimitError):
         d.fiber_counts(X, Y)
+
+
+def untabulated_hall_factors(d, A, B, I):
+    """hall_factors spelled out position by position, with no table."""
+    m = len(A)
+    factors = []
+    for i in range(m):
+        X = d.graded({1: I[i], 0: A[i]})
+        Y = d.graded({0: B[i], -1: I[(i - 1) % m]})
+        counts = d.module_fiber_counts(X, Y)
+        if not counts:
+            return None
+        weight = Fraction(d.q) ** -d.hall_denominator_exponent(X, Y)
+        weight /= d.rep.aut_count(I[i])
+        factors.append({cls: c * weight for cls, c in counts.items()})
+    return factors
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("m", [1, 3])
+def test_hall_factor_table_matches_fresh_context(q, m, monkeypatch):
+    """Table entries equal an untabulated computation on a fresh context,
+    and every key, empty fibers included, fills the table exactly once."""
+    d = DerivedContext(RepContext(Quiver.parse("A2"), q))
+    fresh = DerivedContext(d.rep)
+    classes = d.rep.iso_classes_upto((1, 1))
+    calls = []
+    original = d.module_fiber_counts
+
+    def counting(X, Y):
+        calls.append((X, Y))
+        return original(X, Y)
+
+    monkeypatch.setattr(d, "module_fiber_counts", counting)
+    rng = random.Random(10 * q + m)
+    pairs = [
+        (tuple(rng.choice(classes) for _ in range(m)), tuple(rng.choice(classes) for _ in range(m)))
+        for _ in range(3)
+    ]
+    seen_empty = False
+    for A, B in pairs:
+        for I in product(classes, repeat=m):
+            got = d.hall_factors(A, B, I)
+            assert got == untabulated_hall_factors(fresh, A, B, I)
+            seen_empty |= got is None
+    assert seen_empty
+    assert len(calls) == len(d._hall_table)
+    filled = len(calls)
+    for A, B in pairs:
+        for I in product(classes, repeat=m):
+            d.hall_factors(A, B, I)
+    assert len(calls) == filled

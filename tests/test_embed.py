@@ -195,3 +195,15 @@ def test_report_shape_on_failure_path(a2_q2):
     rhs = E.monomial(E.basis([ctx.class_by_name("S2"), Z, Z]))
     diff = Embedding._first_diff(lhs, rhs)
     assert set(diff) == {"basis", "lhs", "rhs"}
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_phi_images_are_cached(a2_q2, m):
+    emb = make_embedding(a2_q2, m)
+    ctx = a2_q2.rep
+    rng = random.Random(m)
+    for _ in range(20):
+        b = emb.periodic.basis(sample_module_tuple(ctx, rng, m, (1, 1)))
+        image = emb.phi_basis(b)
+        assert emb.phi_basis(b) is image
+        assert make_embedding(a2_q2, m).phi_basis(b) == image

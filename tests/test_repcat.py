@@ -1,13 +1,18 @@
 """Quiver representations over F_q: enumeration, Hom/Ext, Aut, Hall numbers."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from periodic_hall import linalg
-from periodic_hall.errors import ParseError, ResourceLimitError, UsageError
+from periodic_hall.errors import InvariantError, ParseError, ResourceLimitError, UsageError
 from periodic_hall.repcat import Quiver, Rep, RepContext
 
 
@@ -283,3 +288,59 @@ def test_riedtmann_identity_small(a2_q2):
             * Fraction(ctx.aut_count(L), ctx.aut_count(S1) * ctx.aut_count(S2))
         )
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("text", ["A2", "A3", "2; 1->2, 1->2"])
+def test_euler_form_is_identity_minus_adjacency(text):
+    quiver = Quiver.parse(text)
+    n = quiver.n
+    adjacency = np.zeros((n, n), dtype=np.int64)
+    for s, t in quiver.arrows:
+        adjacency[s, t] += 1
+    form = np.eye(n, dtype=np.int64) - adjacency
+    rng = random.Random(len(text))
+    as_array = lambda v: np.asarray(v, dtype=np.int64)
+    for _ in range(40):
+        d = [rng.randint(-4, 4) for _ in range(n)]
+        e = [rng.randint(-4, 4) for _ in range(n)]
+        want = int(as_array(d) @ form @ as_array(e))
+        for convert in (tuple, list, as_array):
+            got = quiver.euler(convert(d), convert(e))
+            assert got == want
+            assert type(got) is int
+
+
+def test_negative_ext_raises_invariant_error(ctx_factory, monkeypatch):
+    ctx = ctx_factory("A2", 2)
+    monkeypatch.setattr(RepContext, "hom_dim", lambda self, M, N: -5)
+    with pytest.raises(InvariantError, match="Ext"):
+        ctx.ext_dim(ctx.class_by_name("S1"), ctx.class_by_name("S2"))
+
+
+def test_invariant_error_survives_optimize():
+    script = textwrap.dedent(
+        """
+        from periodic_hall.errors import InvariantError
+        from periodic_hall.repcat import Quiver, RepContext
+
+        assert False, "assertions are on"
+        ctx = RepContext(Quiver.parse("A2"), 2)
+        RepContext.hom_dim = lambda self, M, N: -5
+        try:
+            ctx.ext_dim(ctx.class_by_name("S1"), ctx.class_by_name("S2"))
+        except InvariantError as exc:
+            print("InvariantError:", exc)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("InvariantError:")

@@ -124,3 +124,24 @@ def test_parse_scalar_roundtrip():
         parse_scalar(f, "v^")
     with pytest.raises(ParseError):
         parse_scalar(f, "(1 + v")
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_monomial_product_matches_general_path(q):
+    f = ScalarField(q)
+    rng = random.Random(q)
+
+    def rational():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+
+    for i in range(8):
+        for j in range(8):
+            a, b, c = rational(), rational(), rational()
+            x, y = f.scalar({i: a}), f.scalar({j: b})
+            k, r = divmod(i + j, 8)
+            assert x * y == f.scalar({r: a * b * q**k})
+            assert y * x == x * y
+            # a two-term operand takes the general convolution
+            other = (j + 1 + rng.randrange(7)) % 8
+            w = f.scalar({other: c})
+            assert x * f.scalar({j: b, other: c}) == x * y + x * w
