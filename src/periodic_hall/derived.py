@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import numpy as np
 
@@ -176,18 +177,25 @@ def _map_layout(C: ProjComplex, D: ProjComplex, lag: int = 0):
     return layout, pairs
 
 
+def _int_rep(rep: Rep) -> Rep:
+    """The same representation with its matrices as lists of int rows."""
+    return Rep(rep.dims, tuple(m.tolist() for m in rep.mats))
+
+
 class _Cone:
     """Mapping cones of the chain maps C -> D whose coordinates follow `layout`.
 
     cone(f) has term C^{n+1} + D^n in degree n and differential
-    [[-dC, 0], [f, dD]]; all but the f block is fixed, so it is built once.
+    [[-dC, 0], [f, dD]]; all but the f block is fixed, so it is built once,
+    as lists of int rows like the terms' arrow matrices.
     """
 
     def __init__(self, C: ProjComplex, D: ProjComplex, layout: _VarLayout):
         self.ctx = ctx = C.ctx
         degs = sorted({n - 1 for n in C.terms} | set(D.terms))
         self.terms = {
-            n: direct_sum_reps(ctx.quiver, C.term(n + 1), D.term(n)) for n in degs
+            n: _int_rep(direct_sum_reps(ctx.quiver, C.term(n + 1), D.term(n)))
+            for n in degs
         }
         self.templates = {}
         self.slots = []  # (degree, vertex, first row of the f block, layout slot)
@@ -203,17 +211,21 @@ class _Cone:
                 )
                 m[:c_rows, :c_cols] = (-dC[v]) % ctx.q
                 m[c_rows:, c_cols:] = dD[v]
-                mats.append(m)
+                mats.append(m.tolist())
                 slot = layout.slot(n + 1, v)
                 if slot is not None:
                     self.slots.append((n, v, c_rows, slot))
             self.templates[n] = mats
 
-    def homology(self, fvec) -> GradedObject:
-        """Graded object L with cone(f) = L[1] for the chain map f = fvec."""
-        diffs = {n: [m.copy() for m in mats] for n, mats in self.templates.items()}
+    def homology(self, fvec: list) -> GradedObject:
+        """Graded object L with cone(f) = L[1] for the chain map f, given as
+        a list of ints in layout order."""
+        diffs = {n: list(mats) for n, mats in self.templates.items()}
         for n, v, row0, (off, r, c) in self.slots:
-            diffs[n][v][row0 : row0 + r, :c] = fvec[off : off + r * c].reshape(r, c)
+            m = diffs[n][v] = list(diffs[n][v])  # template rows stay shared
+            for i in range(r):
+                start = off + i * c
+                m[row0 + i] = fvec[start : start + c] + m[row0 + i][c:]
         return _graded_homology(self.ctx, self.terms, diffs, -1)
 
 
@@ -305,13 +317,13 @@ class ConeCounter:
                 f"for {self.X} -> ({self.Y})[1]"
             )
         tally: dict = {}
+        homology, q = self.cone.homology, self.q
         if free == 0:
-            L = self.cone.homology(np.zeros(self.layout.size, dtype=np.int64))
-            tally[L] = 1
+            tally[homology([0] * self.layout.size)] = 1
             return tally
-        for coeffs in product(range(self.q), repeat=free):
-            fvec = (np.asarray(coeffs, dtype=np.int64) @ basis) % self.q
-            L = self.cone.homology(fvec)
+        columns = list(zip(*basis.tolist()))
+        for coeffs in product(range(q), repeat=free):
+            L = homology([sum(map(mul, coeffs, col)) % q for col in columns])
             tally[L] = tally.get(L, 0) + 1
         if divisor != 1:
             out = {}
@@ -338,7 +350,7 @@ class ConeCounter:
 
 def _graded_homology(ctx: RepContext, terms: dict, diffs: dict, shift: int):
     """Classes of the homology of a complex, the degree-n part placed at
-    degree shift - n."""
+    degree shift - n.  Terms and differentials hold lists of int rows."""
     entries = []
     for n in sorted(terms):
         term = terms[n]
@@ -351,46 +363,43 @@ def _graded_homology(ctx: RepContext, terms: dict, diffs: dict, shift: int):
 
 
 def _homology_rep(ctx: RepContext, term: Rep, d_in, d_out) -> Rep:
-    """ker(d_out)/im(d_in) at one degree, as an explicit representation."""
+    """ker(d_out)/im(d_in) at one degree, as a representation whose matrices
+    are lists of int rows."""
     q = ctx.q
-    nv = ctx.quiver.n
-    comps = []
-    w_mats = []
+    comps = []  # per vertex: kernel vectors completing im(d_in) to ker(d_out)
+    bases = []  # per vertex: rows of the matrix whose columns are im + comp
     ranks_in = []
-    for v in range(nv):
-        d = term.dims[v]
+    for v, d in enumerate(term.dims):
         if d == 0:
-            comps.append(linalg.zeros(0, 0))
-            w_mats.append(linalg.zeros(0, 0))
+            comps.append([])
+            bases.append(None)
             ranks_in.append(0)
             continue
-        ker = linalg.kernel(d_out[v], q) if d_out is not None else linalg.identity(d)
-        img = (
-            linalg.column_space(d_in[v], q)
-            if d_in is not None
-            else linalg.zeros(d, 0)
-        )
-        ri = img.shape[1]
-        both = np.concatenate([img, ker], axis=1)
-        _, pivots = linalg.rref(both, q)
-        comp_cols = [j - ri for j in pivots if j >= ri]
-        comp = ker[:, comp_cols]
+        ker = linalg._kernel(d_out[v] if d_out is not None else [], d, q)
+        image = [[]] * d  # pivot columns of d_in: a basis of its image
+        if d_in is not None and d_in[v][0]:
+            cols = linalg.rref(d_in[v], q)[1]
+            image = [[row[j] % q for j in cols] for row in d_in[v]]
+        ri = len(image[0])
+        # the pivot columns of [image | ker] past the image complete it to ker
+        both = [row + [k[i] for k in ker] for i, row in enumerate(image)]
+        comp = [ker[j - ri] for j in linalg.rref(both, q)[1][ri:]]
         comps.append(comp)
-        w_mats.append(np.concatenate([img, comp], axis=1))
+        bases.append([row + [c[i] for c in comp] for i, row in enumerate(image)])
         ranks_in.append(ri)
-    dims = tuple(c.shape[1] for c in comps)
+    dims = tuple(len(c) for c in comps)
     mats = []
     for idx, (s, t) in enumerate(ctx.quiver.arrows):
         if dims[s] == 0 or dims[t] == 0:
-            mats.append(linalg.zeros(dims[t], dims[s]))
+            mats.append([[0] * dims[s] for _ in range(dims[t])])
             continue
-        vecs = (term.mats[idx] @ comps[s]) % q
-        coords = linalg.solve(w_mats[t], vecs, q)
+        vecs = [[sum(map(mul, row, c)) for c in comps[s]] for row in term.mats[idx]]
+        coords = linalg._solve(bases[t], vecs, ranks_in[t] + dims[t], q)
         if coords is None:
             raise InvariantError(
                 f"homology arrow {s + 1}->{t + 1} maps out of the kernel"
             )
-        mats.append(coords[ranks_in[t] :, :])
+        mats.append(coords[ranks_in[t] :])
     return Rep(dims, tuple(mats))
 
 
@@ -593,7 +602,9 @@ class DerivedContext:
 
     def complex_homology(self, cpx: ProjComplex) -> GradedObject:
         """Classes of the homology of a complex, as a graded object."""
-        return _graded_homology(self.rep, cpx.terms, cpx.diffs, 0)
+        terms = {n: _int_rep(rep) for n, rep in cpx.terms.items()}
+        diffs = {n: [m.tolist() for m in d] for n, d in cpx.diffs.items()}
+        return _graded_homology(self.rep, terms, diffs, 0)
 
     # -- cones and fibers -----------------------------------------------------
 
@@ -603,9 +614,9 @@ class DerivedContext:
     def cone_class(self, f: ChainMap) -> GradedObject:
         """L with cone(f) = L[1], from the literal mapping cone of f."""
         layout, _ = _map_layout(f.source, f.target)
-        vec = np.zeros(layout.size, dtype=np.int64)
+        vec = [0] * layout.size
         for n, v, r, c, off in layout.blocks:
-            vec[off : off + r * c] = f.component(n, v).reshape(-1) % self.q
+            vec[off : off + r * c] = (f.component(n, v).reshape(-1) % self.q).tolist()
         return _Cone(f.source, f.target, layout).homology(vec)
 
     def fiber_counts(self, X: GradedObject, Y: GradedObject, mode: str | None = None):

@@ -133,7 +133,7 @@ class Rep:
     __slots__ = ("dims", "mats")
 
     def __init__(self, dims, mats):
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = tuple(map(int, dims))
         self.mats = tuple(mats)
 
     @property
@@ -277,26 +277,35 @@ class _Cell:
     def __init__(self, dims, shapes, pows, orbit_of, first_code):
         self.dims = dims
         self.shapes = shapes  # per-arrow (rows, cols)
-        self.pows = pows  # base-q place values, one per matrix entry
+        self.pows = pows  # base-q place values (ints), one per matrix entry
         self.orbit_of = orbit_of  # code -> orbit id
         self.first_code = first_code  # orbit id -> smallest code
         self.classes = None  # orbit id -> IsoClass
 
-    def encode(self, mats) -> int:
-        if not len(self.pows):
-            return 0
-        flat = np.concatenate([m.reshape(-1) for m in mats])
-        return int(flat @ self.pows)
+    def encode(self, flat: list) -> int:
+        """Base-q code of the matrix entries (ints in 0..q-1), arrow by arrow
+        and row by row."""
+        if len(flat) != len(self.pows):
+            raise InvariantError(
+                f"{len(flat)} matrix entries for cell {self.dims}, "
+                f"which has {len(self.pows)}"
+            )
+        return sum(map(mul, flat, self.pows))
 
     def decode(self, code: int, q: int):
-        digits = (code // self.pows) % q if len(self.pows) else self.pows
+        digits = [code // p % q for p in self.pows]
         mats = []
         pos = 0
         for rows, cols in self.shapes:
             k = rows * cols
-            mats.append(digits[pos : pos + k].reshape(rows, cols).astype(np.int64))
+            mats.append(np.array(digits[pos : pos + k], dtype=np.int64).reshape(rows, cols))
             pos += k
         return tuple(mats)
+
+
+def _entries(mats) -> list:
+    """The entries of numpy matrices, arrow by arrow and row by row."""
+    return [x for m in mats for x in m.ravel().tolist()]
 
 
 @lru_cache(maxsize=None)
@@ -345,6 +354,7 @@ class RepContext:
         self._rep_cache: dict = {}
         self._hom_cache: dict = {}
         self._aut_cache: dict = {}
+        self._upto_cache: dict = {}  # bound -> sorted tuple of classes
         self.zero_class = self._intern(())
 
     # -- class registry ---------------------------------------------------
@@ -412,7 +422,7 @@ class RepContext:
                 f"cell {dims} has {n_reps} representations "
                 f"(cap {self.max_cell_reps}); lower the bound or raise the cap"
             )
-        pows = self.q ** np.arange(n_entries, dtype=np.int64)
+        pows = tuple(self.q**i for i in range(n_entries))
         cell = _Cell(dims, shapes, pows, None, None)
 
         if all(d == 0 for d in dims):
@@ -435,7 +445,7 @@ class RepContext:
                 mats = stack.pop()
                 for v, g, ginv in generators:
                     new = self._apply_base_change(mats, v, g, ginv)
-                    c = cell.encode(new)
+                    c = cell.encode(_entries(new))
                     if orbit_of[c] < 0:
                         orbit_of[c] = oid
                         stack.append(new)
@@ -458,7 +468,7 @@ class RepContext:
                     rep = direct_sum_reps(
                         q, self.representative(c1), self.representative(c2)
                     )
-                    oid = int(orbit_of[cell.encode(rep.mats)])
+                    oid = int(orbit_of[cell.encode(_entries(rep.mats))])
                     cls = self._intern(key)
                     if cell.classes[oid] not in (None, cls):
                         raise InvariantError(
@@ -515,9 +525,17 @@ class RepContext:
     # -- classification and enumeration ------------------------------------
 
     def classify_rep(self, rep: Rep) -> IsoClass:
+        """Class of `rep`.  Its matrices are numpy arrays, or lists of int rows
+        as the derived layer's cone homology builds them."""
+        q = self.q
+        flat = [
+            x % q
+            for m in rep.mats
+            for row in (m.tolist() if isinstance(m, np.ndarray) else m)
+            for x in row
+        ]
         cell = self._cell(rep.dims)
-        code = cell.encode(tuple(m % self.q for m in rep.mats))
-        return cell.classes[int(cell.orbit_of[code])]
+        return cell.classes[int(cell.orbit_of[cell.encode(flat)])]
 
     def representative(self, cls: IsoClass) -> Rep:
         rep = self._rep_cache.get(cls.key)
@@ -538,10 +556,13 @@ class RepContext:
         bound = tuple(int(b) for b in bound)
         if len(bound) != self.quiver.n or any(b < 0 for b in bound):
             raise UsageError(f"bad bound {bound}")
-        out = set()
-        for dims in self._subvectors(bound):
-            out.update(self._cell(dims).classes)
-        return sorted(out, key=IsoClass.sort_key)
+        classes = self._upto_cache.get(bound)
+        if classes is None:
+            out = set()
+            for dims in self._subvectors(bound):
+                out.update(self._cell(dims).classes)
+            classes = self._upto_cache[bound] = tuple(sorted(out, key=IsoClass.sort_key))
+        return list(classes)
 
     # -- named constructions -------------------------------------------------
 
@@ -592,7 +613,7 @@ class RepContext:
                 rep = builder(v)
                 if rep.dims != dims:
                     continue
-                if int(cell.orbit_of[cell.encode(rep.mats)]) == oid:
+                if int(cell.orbit_of[cell.encode(_entries(rep.mats))]) == oid:
                     name = f"{prefix}{v + 1}"
                     if name not in self._indec_by_name:
                         return name

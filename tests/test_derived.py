@@ -1,5 +1,6 @@
 """Derived-category model: Hom/brace bookkeeping, cones, fiber counts."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -163,6 +164,35 @@ def test_formula_unwinding_on_modules(a2_q3):
                 assert h * d.brace_factor(X, Y) * hom_size == d.field.from_rational(
                     count
                 )
+
+
+# sha256 of the per-pair fiber tallies over graded_objects_upto(d, 2), pinned
+# from the numpy-array elimination that the int-row kernel replaced; both
+# count modes must reproduce it.
+PINNED_TALLIES = {
+    ("A3", 2): (32, "f470d5b5d757db26028aad41b55e9bb3806b013818823916a1aea243f6996d08"),
+    ("A2", 5): (17, "59949c3d8e0861404201d7c3ef0279c38936e38dc8292066ff031c594c37d09e"),
+}
+
+
+def tally_digest(d, objects, mode):
+    h = hashlib.sha256()
+    for X in objects:
+        for Y in objects:
+            counts = d.fiber_counts(X, Y, mode=mode)
+            tally = ";".join(sorted(f"{L}={c}" for L, c in counts.items()))
+            h.update(f"{X}|{Y}|{tally}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("quiver, q", sorted(PINNED_TALLIES))
+def test_fiber_tallies_pinned(quiver, q):
+    n_objects, expected = PINNED_TALLIES[(quiver, q)]
+    d = DerivedContext(RepContext(Quiver.parse(quiver), q))
+    objects = graded_objects_upto(d, 2, degrees=(0, 1))
+    assert len(objects) == n_objects
+    for mode in ("quotient", "total"):
+        assert tally_digest(d, objects, mode) == expected, mode
 
 
 def test_count_modes_agree(dctx_factory):

@@ -1,6 +1,7 @@
 """Dense F_q linear algebra helpers."""
 
 import random
+from itertools import product
 
 import numpy as np
 
@@ -85,3 +86,99 @@ def test_subspace_count_matches_gaussian_binomial():
                 assert len(seen) == len(subs)
                 for m in subs:
                     assert linalg.rank(m, q) == k
+
+
+def test_inverse_of_non_square_is_none():
+    a = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)
+    assert not linalg.is_invertible(a, 2)
+    assert linalg.inverse(a, 2) is None
+    assert linalg.inverse(a.T.copy(), 2) is None
+
+
+# -- brute-force oracle over F_q^n ---------------------------------------------
+
+
+def oracle_matrices():
+    """Seeded random matrices over q in {2, 3, 5} with shapes up to 4 x 5,
+    every empty shape included."""
+    rng = random.Random(11)
+    for q in (2, 3, 5):
+        shapes = [(0, 0), (0, 3), (3, 0)] + [
+            (rng.randint(0, 4), rng.randint(0, 5)) for _ in range(30)
+        ]
+        for rows, cols in shapes:
+            a = random_matrix(rng, rows, cols, q)
+            if rows and cols and rng.random() < 0.3:
+                a[rng.randrange(rows)] = 0  # force some rank deficiency
+            yield q, a
+
+
+def vectors(n, q):
+    return [np.array(x, dtype=np.int64) for x in product(range(q), repeat=n)]
+
+
+def span(rows, q):
+    """Every F_q-combination of the rows, as a set of tuples."""
+    n = rows.shape[1]
+    return {
+        tuple((np.array(c, dtype=np.int64) @ rows) % q) if len(c) else (0,) * n
+        for c in product(range(q), repeat=rows.shape[0])
+    }
+
+
+def test_rref_is_reduced_echelon_with_same_row_space():
+    for q, a in oracle_matrices():
+        rows = a.tolist()
+        out, pivots = linalg.rref(rows, q)
+        assert rows == a.tolist()  # the input rows are left as they were
+        r = np.array(out, dtype=np.int64).reshape(a.shape)
+        assert ((r >= 0) & (r < q)).all()
+        assert pivots == sorted(set(pivots))
+        for i, p in enumerate(pivots):
+            assert r[i, p] == 1
+            assert not r[i, :p].any()
+            assert not np.delete(r[:, p], i).any()
+        assert not r[len(pivots) :].any()
+        assert span(r, q) == span(a % q, q)
+
+
+def test_kernel_size_and_rank_match_brute_force():
+    for q, a in oracle_matrices():
+        rows, cols = a.shape
+        xs = vectors(cols, q)
+        null = sum(1 for x in xs if not ((a @ x) % q).any())
+        image = {tuple((a @ x) % q) for x in xs}
+        k = linalg.kernel(a, q)
+        assert null == q ** k.shape[1]
+        assert len(image) == q ** linalg.rank(a, q)
+        if k.size:
+            assert not ((a @ k) % q).any()
+            assert linalg.rank(k, q) == k.shape[1]
+
+
+def test_solve_is_none_exactly_when_unsolvable():
+    rng = random.Random(12)
+    for q, a in oracle_matrices():
+        rows, cols = a.shape
+        image = {tuple((a @ x) % q) for x in vectors(cols, q)}
+        for _ in range(3):
+            b = random_matrix(rng, rows, 1, q)
+            if rng.random() < 0.5:  # half the time, a right-hand side known solvable
+                b = (a @ random_matrix(rng, cols, 1, q)) % q
+            x = linalg.solve(a, b, q)
+            assert (x is None) == (tuple(b[:, 0]) not in image)
+            if x is not None:
+                assert x.shape == (cols, 1)
+                assert np.array_equal((a @ x) % q, b)
+
+
+def test_inverse_matches_brute_force_invertibility():
+    for q, a in oracle_matrices():
+        rows, cols = a.shape
+        inv = linalg.inverse(a, q)
+        injective = sum(1 for x in vectors(cols, q) if not ((a @ x) % q).any()) == 1
+        if rows != cols or not injective:
+            assert inv is None
+            continue
+        assert np.array_equal((inv @ a) % q, np.eye(rows, dtype=np.int64))
+        assert np.array_equal((a @ inv) % q, np.eye(rows, dtype=np.int64))

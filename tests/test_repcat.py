@@ -244,6 +244,51 @@ def test_iso_classes_are_interned(ctx_factory):
     assert a is b
 
 
+def test_iso_classes_upto_is_cached_per_bound(monkeypatch):
+    ctx = RepContext(Quiver.parse("A2"), 2)
+    first = ctx.iso_classes_upto((2, 1))
+
+    def no_cells(dims):
+        raise AssertionError(f"cell {dims} looked up again")
+
+    monkeypatch.setattr(ctx, "_cell", no_cells)
+    second = ctx.iso_classes_upto([2, 1])  # the same bound, normalized
+    assert second == first and second is not first
+    second.reverse()
+    second.append(ctx.zero_class)
+    assert ctx.iso_classes_upto((2, 1)) == first
+    with pytest.raises(UsageError):
+        ctx.iso_classes_upto((2, -1))
+    with pytest.raises(UsageError):
+        ctx.iso_classes_upto((2,))
+
+
+@pytest.mark.parametrize("quiver", ["A2", "2; 1->2, 1->2"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_classify_rep_accepts_int_rows(ctx_factory, quiver, q):
+    """Matrices given as lists of int rows, entries unreduced or not, get the
+    class of the same numpy representation."""
+    ctx = ctx_factory(quiver, q)
+    rng = random.Random(q)
+    for cls in ctx.iso_classes_upto((2, 2)):
+        rep = ctx.representative(cls)
+        rows = tuple(m.tolist() for m in rep.mats)
+        assert ctx.classify_rep(Rep(rep.dims, rows)) is cls
+        shifted = tuple(
+            [[x + q * rng.randrange(3) for x in row] for row in m] for m in rows
+        )
+        assert ctx.classify_rep(Rep(rep.dims, shifted)) is cls
+
+
+@pytest.mark.parametrize("mats", [([[1, 0]],), (np.array([[1, 0]]),), ()])
+def test_classify_rep_rejects_wrong_entry_count(ctx_factory, mats):
+    """A matrix of the wrong shape for the dimension vector is an error, not a
+    silently truncated code."""
+    ctx = ctx_factory("A2", 2)
+    with pytest.raises(InvariantError):
+        ctx.classify_rep(Rep((1, 1), mats))
+
+
 def test_class_name_parsing(ctx_factory):
     ctx = ctx_factory("A3", 2)
     assert ctx.class_by_name("0") is ctx.zero_class
