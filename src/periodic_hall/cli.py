@@ -52,6 +52,19 @@ _CHOICES = {
     "format": ("text", "json"),
     "count-mode": ("quotient", "total"),
 }
+# keys with a least allowed value, as flags and in config files
+_MINIMUM = {"cap-dim": 0, "cap-cell": 1}
+
+
+def _bad_value(key: str, value):
+    """Why a flag or config value is out of range, or None if it is not."""
+    choices = _CHOICES.get(key)
+    if choices is not None and value not in choices:
+        return f"{key} must be one of {', '.join(choices)}, got {value!r}"
+    least = _MINIMUM.get(key)
+    if least is not None and value < least:
+        return f"{key} must be at least {least}, got {value}"
+    return None
 
 
 def _read_config(path: str) -> dict:
@@ -72,12 +85,9 @@ def _read_config(path: str) -> dict:
                     values[key] = _CONFIG_KEYS[key](value.strip())
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: bad value: {exc}") from exc
-                choices = _CHOICES.get(key)
-                if choices is not None and values[key] not in choices:
-                    raise ParseError(
-                        f"{path}:{lineno}: {key} must be one of "
-                        f"{', '.join(choices)}, got {values[key]!r}"
-                    )
+                problem = _bad_value(key, values[key])
+                if problem:
+                    raise ParseError(f"{path}:{lineno}: {problem}")
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     return values
@@ -120,6 +130,9 @@ class Settings:
         for key in _CONFIG_KEYS:
             flag = getattr(args, key.replace("-", "_"), None)
             if flag is not None:
+                problem = _bad_value(key, flag)
+                if problem:
+                    raise UsageError(f"--{problem}")
                 merged[key] = flag
         self.quiver_text = merged["quiver"]
         self.q = merged["q"]
@@ -204,6 +217,9 @@ def _verify_report(settings: Settings, args, report: dict) -> int:
 
 def _cmd_verify(args) -> int:
     settings = Settings(args)
+    for flag in ("samples", "max_degrees"):
+        if getattr(args, flag) < 0:
+            raise UsageError(f"--{flag.replace('_', '-')} must be at least 0")
     rng = random.Random(settings.seed)
     dctx = settings.derived_context()
     n = dctx.rep.quiver.n

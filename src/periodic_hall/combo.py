@@ -1,18 +1,19 @@
-"""Element arithmetic and literal parsing shared by the two algebras.
+"""Element arithmetic shared by the two algebras.
 
 `Element` is a finite scalar combination of basis elements of one
 algebra.  `Algebra` holds everything DH_m and DH^e_m do alike: the period
 check, element builders, the bilinear extension of the basis product and
-the parsing of element literals and of the module part of basis literals.
-Each subclass supplies `basis`, `basis_product` (its own product twist)
-and `parse_basis`.
+the reading of element and basis literals through `literal`.  Each
+subclass supplies `basis`, `basis_product` (its own product twist) and
+`_literal_basis`, which turns the parsed pieces of a basis literal into
+its basis element.
 """
 
 from __future__ import annotations
 
-from .errors import ParseError, UsageError
+from . import literal
+from .errors import UsageError
 from .repcat import IsoClass
-from .scalar import parse_scalar
 
 
 def add_term(acc: dict, basis, scalar) -> None:
@@ -189,76 +190,15 @@ class Algebra:
 
     # -- parsing ------------------------------------------------------------------
 
-    def _parse_module_part(self, text: str, what: str) -> list:
-        """Classes of '[S1@0 + P1@2]' (grouped class sums allowed); '[0]' is zero."""
-        if not (text.startswith("[") and text.endswith("]")):
-            raise ParseError(f"{what} must be bracketed: {text!r}")
-        inner = text[1:-1].strip()
-        if inner in ("", "0"):
-            return self._module_classes(())
-        return self._module_classes(self.derived.parse_graded(inner).entries)
+    def parse_basis(self, text: str):
+        """A basis literal in the grammar of `literal`, e.g. '[S1@0 + P1@2]'."""
+        pieces = literal.parse(text, "basis", self.rep.class_by_name)
+        return self._literal_basis(*pieces)
 
     def parse_element(self, text: str) -> Element:
-        """Sums 'coef*[basis] + ...'; coefficient literals as in the scalar field."""
+        """Sums 'coef*[basis] + ...' in the grammar of `literal`; '0' is zero."""
         terms: dict = {}
-        for piece, sign in _split_element(text):
-            coef_text, basis_text = _split_coefficient(piece)
-            scalar = (
-                parse_scalar(self.field, coef_text) if coef_text else self.field.one
-            )
-            if sign < 0:
-                scalar = -scalar
-            basis = self.parse_basis(basis_text)
-            add_term(terms, basis, scalar)
+        resolve = self.rep.class_by_name
+        for scalar, pieces in literal.parse(text, "element", self.field, resolve):
+            add_term(terms, self._literal_basis(*pieces), scalar)
         return Element(self, terms)
-
-
-def _split_element(text: str):
-    """Split 'a*[..] + b*[..] - c*[..]' at top level, tracking signs."""
-    text = text.strip()
-    if not text:
-        raise ParseError("empty element literal")
-    pieces = []
-    depth = 0
-    sign = 1
-    current = ""
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch in "+-" and current.strip().endswith("]"):
-            pieces.append((current.strip(), sign))
-            sign = 1 if ch == "+" else -1
-            current = ""
-        else:
-            current += ch
-        i += 1
-    if current.strip():
-        pieces.append((current.strip(), sign))
-    if not pieces:
-        raise ParseError(f"no terms in element literal {text!r}")
-    return pieces
-
-
-def _split_coefficient(piece: str):
-    """'<coef>*[basis...]' -> (coef or '', basis literal).
-
-    The basis part may also start with 'K[' (pure K-monomials in the
-    extended algebra), so a '[' directly preceded by 'K' starts the basis.
-    """
-    idx = piece.find("[")
-    if idx < 0:
-        raise ParseError(f"term {piece!r} has no bracketed basis")
-    if idx > 0 and piece[idx - 1] == "K":
-        idx -= 1
-    coef = piece[:idx].strip()
-    if coef.endswith("*"):
-        coef = coef[:-1].strip()
-    if coef.startswith("-"):
-        # leading sign folded here keeps '-[S1@0]' parseable
-        rest = coef[1:].strip()
-        coef = f"-1*{rest}" if rest else "-1"
-    return coef, piece[idx:]

@@ -25,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from operator import mul
 
 import numpy as np
 
-from . import linalg
-from .errors import InvariantError, ParseError, ResourceLimitError, UsageError
+from . import linalg, literal
+from .errors import InvariantError, ResourceLimitError, UsageError
 from .repcat import (
     IsoClass,
     Rep,
@@ -449,32 +450,9 @@ class DerivedContext:
         return GradedObject(())
 
     def parse_graded(self, text: str) -> GradedObject:
-        """Literals like 'S1@0 + P1@2'; class sums group as 'S1+S2@0'."""
-        text = text.strip()
-        if text in ("0", ""):
-            return self.zero_object()
-        entries: dict = {}
-        pending: list = []
-        for token in text.split("+"):
-            token = token.strip()
-            if "@" in token:
-                name, _, deg = token.rpartition("@")
-                pending.append(name.strip())
-                try:
-                    degree = int(deg)
-                except ValueError as exc:
-                    raise ParseError(f"bad degree in {token!r}") from exc
-                cls = self.rep.class_by_name("+".join(pending))
-                if degree in entries:
-                    raise ParseError(f"degree {degree} appears twice")
-                if not cls.is_zero:
-                    entries[degree] = cls
-                pending = []
-            else:
-                pending.append(token)
-        if pending:
-            raise ParseError(f"dangling summands {pending} without '@degree'")
-        return self.graded(entries)
+        """Literals like 'S1@0 + P1@2', class sums grouped as 'S1+S2@0'; the
+        grammar is in `literal`."""
+        return self.graded(literal.parse(text, "graded", self.rep.class_by_name))
 
     # -- Hom and brace bookkeeping -------------------------------------------
 
@@ -661,6 +639,32 @@ class DerivedContext:
                 return None
             factors.append(factor)
         return factors
+
+    def connecting_terms(self, A, B):
+        """For module tuples A, B of one period (indices mod m), yield each
+        tuple I of connecting classes with nonempty fibers, with the pairs
+        (M, prod_i H(M_i; I_i[1] + A_i, B_i + I_{i-1}[-1]) / |Aut(I_i)|),
+        one per module tuple M; each algebra applies its own twist to them.
+
+        I is pruned by the necessary condition that I_i embeds into B_i and
+        A_{i+1} surjects onto I_i, which only compares dimension vectors:
+        dim I_i <= min(B_i, A_{i+1}).  Pruned terms vanish (the tests
+        spot-check this against the unpruned counter).
+        """
+        m = len(A)
+        candidates = [
+            self.rep.iso_classes_upto(tuple(map(min, B[i].dims, A[(i + 1) % m].dims)))
+            for i in range(m)
+        ]
+        for I in product(*candidates):
+            factors = self.hall_factors(A, B, I)
+            if factors is None:
+                continue
+            terms = []
+            for choice in product(*(f.items() for f in factors)):
+                modules, coeffs = zip(*choice)
+                terms.append((modules, prod(coeffs)))
+            yield I, terms
 
     def _hall_factor(self, a, b, i_cls, i_prev):
         """M -> H(M; I[1] + A, B + I'[-1]) / |Aut(I)|, or None if the fiber

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combo import Element, alternating_sum
+from .combo import Element, add_term, alternating_sum
 from .errors import UsageError
 from .extended import ExtendedAlgebra, ExtendedBasisElement, convention_range
 from .periodic import PeriodicAlgebra, PeriodicObject
@@ -87,9 +87,7 @@ class Embedding:
         terms: dict = {}
         for basis, s in element.terms.items():
             image = self.phi_basis(basis)
-            existing = terms.get(image.basis)
-            value = s * image.scalar
-            terms[image.basis] = existing + value if existing is not None else value
+            add_term(terms, image.basis, s * image.scalar)
         return self.extended.element(terms)
 
     # -- verification -------------------------------------------------------

@@ -18,10 +18,7 @@ are genuinely empty at m = 1.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 
 from . import combo
 from .errors import ParseError, UsageError
@@ -118,7 +115,6 @@ class ExtendedAlgebra(combo.Algebra):
 
     def _basis_product(self, x: ExtendedBasisElement, y: ExtendedBasisElement) -> dict:
         m = self.m
-        d = self.derived
         rep = self.rep
         A, alphas = x.classes, x.alphas
         B, betas = y.classes, y.alphas
@@ -136,16 +132,8 @@ class ExtendedAlgebra(combo.Algebra):
             a0 += rep.sym_t_units(alphas[i % m], betas[(i - 1) % m])
         a0 -= rep.sym_t_units(alphas[m - 1], betas[0])
 
-        candidates = []
-        for i in range(m):
-            bound = tuple(map(min, dims_b[i], dims_a[(i + 1) % m]))
-            candidates.append(rep.iso_classes_upto(bound))
-
         out: dict = {}
-        for I in product(*candidates):
-            factors = d.hall_factors(A, B, I)
-            if factors is None:
-                continue
+        for I, terms in self.derived.connecting_terms(A, B):
             dims_i = [cls.dims for cls in I]
             dbl_i = [tuple(2 * t for t in v) for v in dims_i]
 
@@ -170,11 +158,7 @@ class ExtendedAlgebra(combo.Algebra):
                 for i in range(m)
             )
 
-            for combo_choice in product(*(f.items() for f in factors)):
-                modules = tuple(cls for cls, _ in combo_choice)
-                coeff = Fraction(1)
-                for _, c in combo_choice:
-                    coeff *= c
+            for modules, coeff in terms:
                 m_exp = 0
                 for i in range(m):
                     diff = [
@@ -190,42 +174,12 @@ class ExtendedAlgebra(combo.Algebra):
 
     # -- parsing ------------------------------------------------------------------
 
-    def parse_basis(self, text: str) -> ExtendedBasisElement:
-        """'[S1@0]*K[(1,0)/2@0, (0,-1)@2]'; either factor may be omitted."""
-        text = text.strip()
-        k_part = None
-        u_part = text
-        marker = text.find("*K[")
-        if marker >= 0:
-            u_part = text[:marker].strip()
-            k_part = text[marker + 1 :].strip()
-        elif text.startswith("K["):
-            u_part = ""
-            k_part = text
-        classes = (
-            self._parse_module_part(u_part, "module part")
-            if u_part
-            else self._module_classes(())
-        )
-        alphas = [list(self._zero_alpha()) for _ in range(self.m)]
-        if k_part is not None:
-            if not (k_part.startswith("K[") and k_part.endswith("]")):
-                raise ParseError(f"K-part must look like K[...]: {k_part!r}")
-            body = k_part[2:-1].strip()
-            if body:
-                for vec_text, halved, deg_text in re.findall(
-                    r"\(([^)]*)\)\s*(/2)?\s*@\s*(-?\d+)", body
-                ):
-                    try:
-                        comps = [int(c) for c in vec_text.split(",")]
-                        degree = int(deg_text)
-                    except ValueError as exc:
-                        raise ParseError(f"bad K entry in {k_part!r}") from exc
-                    if len(comps) != self.rep.quiver.n:
-                        raise ParseError(
-                            f"K vector length {len(comps)} != {self.rep.quiver.n}"
-                        )
-                    dbl = comps if halved else [2 * c for c in comps]
-                    i = degree % self.m
-                    alphas[i] = [p + q for p, q in zip(alphas[i], dbl)]
-        return self.basis(classes, tuple(tuple(a) for a in alphas))
+    def _literal_basis(self, graded, k_entries) -> ExtendedBasisElement:
+        n = self.rep.quiver.n
+        alphas = [self._zero_alpha() for _ in range(self.m)]
+        for degree, doubled in k_entries or ():
+            if len(doubled) != n:
+                raise ParseError(f"K vector length {len(doubled)} != {n}")
+            i = degree % self.m
+            alphas[i] = tuple(p + q for p, q in zip(alphas[i], doubled))
+        return self.basis(self._module_classes(graded), alphas)

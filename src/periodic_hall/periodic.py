@@ -9,11 +9,9 @@ position:
     u_A u_B = v^twist * sum_{I, M} prod_i H(M_i; I_i[1] + A_i, B_i + I_{i-1}[-1])
                                         / |Aut(I_i)| * u_M
 
-where twist = sum_i < sum_k (-1)^k [A_{i+k}], [B_i] >.  The enumeration of
-(I_i) is pruned by the necessary condition that I_i embeds into B_i and
-A_{i+1} surjects onto I_i, which only requires comparing dimension
-vectors; pruned terms vanish (the tests spot-check this against the
-unpruned counter).
+where twist = sum_i < sum_k (-1)^k [A_{i+k}], [B_i] >.  The connecting
+classes and their terms come from `DerivedContext.connecting_terms`; only
+the twist is computed here.
 
 Only odd m is accepted: without the extension by K-elements the even
 periodic multiplication is not defined.
@@ -22,12 +20,10 @@ periodic multiplication is not defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 
 from . import combo
 from .derived import DerivedContext
-from .errors import EvenPeriodError, UsageError
+from .errors import EvenPeriodError, ParseError
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,6 @@ class PeriodicAlgebra(combo.Algebra):
 
     def _compute_basis_product(self, a: PeriodicObject, b: PeriodicObject) -> dict:
         m = self.m
-        d = self.derived
         rep = self.rep
         dims_a = [cls.dims for cls in a.classes]
         dims_b = [cls.dims for cls in b.classes]
@@ -94,22 +89,10 @@ class PeriodicAlgebra(combo.Algebra):
             alt = combo.alternating_sum(dims_a, i, range(m))
             twist += rep.euler(alt, dims_b[i])
 
-        candidates = []
-        for i in range(m):
-            bound = tuple(map(min, dims_b[i], dims_a[(i + 1) % m]))
-            candidates.append(rep.iso_classes_upto(bound))
-
         accum: dict = {}
-        for I in product(*candidates):
-            factors = d.hall_factors(a.classes, b.classes, I)
-            if factors is None:
-                continue
-            for combo_choice in product(*(f.items() for f in factors)):
-                modules = tuple(cls for cls, _ in combo_choice)
-                coeff = Fraction(1)
-                for _, c in combo_choice:
-                    coeff *= c
-                accum[modules] = accum.get(modules, Fraction(0)) + coeff
+        for _, terms in self.derived.connecting_terms(a.classes, b.classes):
+            for modules, coeff in terms:
+                accum[modules] = accum.get(modules, 0) + coeff
 
         vt = self.field.v_power(4 * twist)
         out: dict = {}
@@ -120,6 +103,7 @@ class PeriodicAlgebra(combo.Algebra):
 
     # -- parsing ------------------------------------------------------------------
 
-    def parse_basis(self, text: str) -> PeriodicObject:
-        """'[S1@0 + P1@2]' (grouped class sums allowed), '[0]' is the unit."""
-        return self.basis(self._parse_module_part(text.strip(), "basis literal"))
+    def _literal_basis(self, graded, k_entries) -> PeriodicObject:
+        if k_entries is not None:
+            raise ParseError("a periodic basis element has no K part")
+        return self.basis(self._module_classes(graded))

@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ParseError, UsageError
+from .literal import parse_scalar  # noqa: F401 (public name of this module too)
 
 _DEG = 8  # t^8 = q
 
@@ -341,111 +342,3 @@ def _poly_mod_reduce(a, q):
         k, r = divmod(i, _DEG)
         out[r] += c * Fraction(q) ** k
     return out
-
-
-# -- scalar literal parsing (used by the CLI element parsers) --------------
-
-
-def parse_scalar(field: ScalarField, text: str) -> Scalar:
-    """Parse coefficient literals like '2*v^-1', '1/3', 't^5', '(1 + v)'."""
-    tokens = _tokenize(text)
-    value, pos = _parse_sum(field, tokens, 0)
-    if pos != len(tokens):
-        raise ParseError(f"trailing input in scalar literal {text!r}")
-    return value
-
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()*+-":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "/"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch in "vtq":
-            j = i + 1
-            if j < len(text) and text[j] == "^":
-                j += 1
-                if j < len(text) and text[j] == "-":
-                    j += 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r} in scalar literal")
-    return tokens
-
-
-def _parse_sum(field, tokens, pos):
-    total = field.zero
-    sign = 1
-    expect_term = True
-    while pos < len(tokens):
-        tok = tokens[pos]
-        if tok == ")":
-            break
-        if tok in "+-":
-            if expect_term and tok == "-":
-                sign = -sign
-            elif not expect_term:
-                sign = 1 if tok == "+" else -1
-                expect_term = True
-            pos += 1
-            continue
-        term, pos = _parse_product(field, tokens, pos)
-        total = total + (term if sign == 1 else -term)
-        sign = 1
-        expect_term = False
-    return total, pos
-
-
-def _parse_product(field, tokens, pos):
-    value = field.one
-    while pos < len(tokens):
-        tok = tokens[pos]
-        if tok == "(":
-            inner, pos = _parse_sum(field, tokens, pos + 1)
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise ParseError("unbalanced parenthesis in scalar literal")
-            value = value * inner
-            pos += 1
-        elif tok[0].isdigit():
-            try:
-                value = value * field.from_rational(Fraction(tok))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad rational {tok!r}") from exc
-            pos += 1
-        elif tok[0] in "vtq":
-            exp = 1
-            if "^" in tok:
-                base, _, e = tok.partition("^")
-                try:
-                    exp = int(e)
-                except ValueError as exc:
-                    raise ParseError(f"bad exponent in {tok!r}") from exc
-            else:
-                base = tok
-            if base == "v":
-                value = value * field.v_power(4 * exp)
-            elif base == "t":
-                value = value * field.v_power(exp)
-            else:
-                value = value * field.q_power(exp)
-            pos += 1
-        else:
-            break
-        if pos < len(tokens) and tokens[pos] == "*":
-            pos += 1
-            continue
-        break
-    return value, pos

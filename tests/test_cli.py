@@ -277,3 +277,33 @@ def test_invariant_violation_exit_code(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert "internal invariant violated" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--cap-dim", "-1"), ("--cap-cell", "0")])
+def test_cap_flag_below_minimum_is_usage_error(capsys, flag, value):
+    code, _, err = run(
+        capsys, "list", "--quiver", "A2", "--q", "2", flag, value, "iso-classes",
+    )
+    assert code == 2
+    assert flag[2:] in err and "at least" in err
+
+
+@pytest.mark.parametrize("key, value", [("cap-dim", "-1"), ("cap-cell", "0")])
+def test_config_rejects_cap_below_minimum(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"quiver = A2\n{key} = {value}\n", encoding="utf-8")
+    code, _, err = run(capsys, "list", "--config", str(cfg), "iso-classes")
+    assert code == 2
+    assert f"{cfg}:2" in err and key in err
+
+
+@pytest.mark.parametrize(
+    "suite, flag", [("assoc", "--samples"), ("embedding", "--max-degrees")]
+)
+def test_verify_rejects_negative_counts(capsys, suite, flag):
+    code, out, err = run(
+        capsys, "verify", "--quiver", "A2", "--q", "2", "--m", "3", suite, flag, "-1",
+    )
+    assert code == 2
+    assert flag in err
+    assert "passed" not in out
