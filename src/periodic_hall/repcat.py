@@ -5,8 +5,11 @@ arrows.  The context object enumerates isomorphism classes one dimension
 vector at a time by partitioning the (finite) set of all matrix tuples
 into orbits of the base-change group prod_v GL(d_v, F_q); the group is
 generated by elementary transvections and one diagonal scaling per vertex
-(q is prime, so this generates everything).  Orbit membership doubles as
-an O(1) canonical-form test, which the cone-counting code leans on hard.
+(q is prime, so this generates everything).  Each generator permutes the
+base-q codes of all matrix tuples as one numpy array, and min-label
+propagation labels every code with the smallest code of its orbit; orbits
+are numbered in that order.  Orbit membership doubles as an O(1)
+canonical-form test, which the cone-counting code leans on hard.
 
 Classes are named by their Krull-Schmidt decomposition into labeled
 indecomposables: an orbit not reachable as a direct sum of strictly
@@ -19,7 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, permutations, product
+from math import prod
 from operator import mul
 
 import numpy as np
@@ -274,12 +278,12 @@ class _Cell:
 
     __slots__ = ("dims", "shapes", "pows", "orbit_of", "first_code", "classes")
 
-    def __init__(self, dims, shapes, pows, orbit_of, first_code):
+    def __init__(self, dims, shapes, pows):
         self.dims = dims
         self.shapes = shapes  # per-arrow (rows, cols)
         self.pows = pows  # base-q place values (ints), one per matrix entry
-        self.orbit_of = orbit_of  # code -> orbit id
-        self.first_code = first_code  # orbit id -> smallest code
+        self.orbit_of = None  # code -> orbit id
+        self.first_code = None  # orbit id -> smallest code
         self.classes = None  # orbit id -> IsoClass
 
     def encode(self, flat: list) -> int:
@@ -320,6 +324,18 @@ def _primitive_root(q: int) -> int:
         if len(seen) == q - 1:
             return g
     raise UsageError(f"no primitive root mod {q}")
+
+
+def _residue_degree(aut: int, q: int) -> int:
+    """d with aut = q^a (q^d - 1): the residue field of a local End is F_{q^d}."""
+    while aut % q == 0:
+        aut //= q
+    d = 1
+    while q**d <= aut:
+        d += 1
+    if q**d != aut + 1:
+        raise InvariantError(f"{aut} units is not q^a (q^d - 1) for q={q}")
+    return d
 
 
 class RepContext:
@@ -423,35 +439,12 @@ class RepContext:
                 f"(cap {self.max_cell_reps}); lower the bound or raise the cap"
             )
         pows = tuple(self.q**i for i in range(n_entries))
-        cell = _Cell(dims, shapes, pows, None, None)
-
-        if all(d == 0 for d in dims):
-            cell.orbit_of = np.zeros(1, dtype=np.int64)
-            cell.first_code = [0]
-            cell.classes = [self.zero_class]
-            return cell
-
-        generators = self._base_change_generators(dims)
-        orbit_of = np.full(n_reps, -1, dtype=np.int64)
-        first_code = []
-        for code in range(n_reps):
-            if orbit_of[code] >= 0:
-                continue
-            oid = len(first_code)
-            first_code.append(code)
-            orbit_of[code] = oid
-            stack = [cell.decode(code, self.q)]
-            while stack:
-                mats = stack.pop()
-                for v, g, ginv in generators:
-                    new = self._apply_base_change(mats, v, g, ginv)
-                    c = cell.encode(_entries(new))
-                    if orbit_of[c] < 0:
-                        orbit_of[c] = oid
-                        stack.append(new)
-        cell.orbit_of = orbit_of
-        cell.first_code = first_code
-        cell.classes = [None] * len(first_code)
+        cell = _Cell(dims, shapes, pows)
+        label = self._orbit_minima(cell, n_reps)
+        first = np.flatnonzero(label == np.arange(n_reps))
+        cell.orbit_of = orbit_of = np.searchsorted(first, label).astype(label.dtype)
+        cell.first_code = first_code = first.tolist()
+        cell.classes = [None] * len(first_code) if any(dims) else [self.zero_class]
 
         # orbits of direct sums of strictly smaller classes are decomposable
         seen = set()
@@ -488,39 +481,59 @@ class RepContext:
             cell.classes[oid] = self._intern(((iid, 1),))
         return cell
 
-    def _base_change_generators(self, dims):
-        gens = []
-        root = _primitive_root(self.q)
-        for v, d in enumerate(dims):
-            if d == 0:
-                continue
-            for i in range(d):
-                for j in range(d):
-                    if i == j:
-                        continue
-                    g = linalg.identity(d)
-                    g[i, j] = 1
-                    ginv = linalg.identity(d)
-                    ginv[i, j] = (-1) % self.q
-                    gens.append((v, g, ginv))
-            if self.q > 2:
-                g = linalg.identity(d)
-                g[0, 0] = root
-                ginv = linalg.identity(d)
-                ginv[0, 0] = pow(root, self.q - 2, self.q)
-                gens.append((v, g, ginv))
-        return gens
+    def _orbit_minima(self, cell: _Cell, n_reps: int) -> np.ndarray:
+        """Smallest code in each code's orbit: labels only fall and stay in their
+        orbit, and at the fixed point they are constant on each generator's cycles.
+        Each sweep rebuilds the permutations one at a time, so memory stays a
+        few arrays of n_reps codes plus one small int per matrix entry and code."""
+        q = self.q
+        codes = np.arange(n_reps, dtype=np.int32 if n_reps <= 2**31 else np.int64)
+        small = np.min_scalar_type(-2 * q)  # holds a sum or difference of digits
+        digits = [(codes // p % q).astype(small) for p in cell.pows]
+        label = codes.copy()
+        while True:
+            before = label.copy()
+            for perm in self._generator_perms(cell, codes, digits, small):
+                np.minimum(label, label[perm], out=label)
+            label = label[label]
+            if np.array_equal(label, before):
+                return label
 
-    def _apply_base_change(self, mats, v, g, ginv):
-        out = []
-        for idx, (s, t) in enumerate(self.quiver.arrows):
-            m = mats[idx]
-            if t == v:
-                m = (g @ m) % self.q
-            if s == v:
-                m = (m @ ginv) % self.q
-            out.append(m)
-        return tuple(out)
+    def _generator_perms(self, cell: _Cell, codes: np.ndarray, digits, small):
+        """Per vertex v, the transvections 1 + E_ij and (q > 2) the scaling of
+        basis vector 0 by a primitive root, as permutations of all codes, given
+        each code's base-q digits.  g acts by m -> g m on arrows into v (row
+        i += row j, or row 0 times the root) and by m -> m g^-1 on arrows out
+        of v (column j -= column i, or column 0 over the root)."""
+        q = self.q
+        root = _primitive_root(q)
+        up = (np.arange(q) * root % q).astype(small)
+        down = (np.arange(q) * pow(root, q - 2, q) % q).astype(small)
+
+        def perm(changes):  # codes with digit p replaced by new, per (p, new)
+            out = codes.copy()
+            for p, new in changes:
+                out += (new - digits[p]).astype(codes.dtype) * cell.pows[p]
+            return out
+
+        offsets = accumulate((r * c for r, c in cell.shapes), initial=0)
+        arrows = list(zip(self.quiver.arrows, cell.shapes, offsets))
+        for v, d in enumerate(cell.dims):
+            into = [(o, c) for (_, t), (_, c), o in arrows if t == v]
+            out_of = [(o, r, c) for (s, _), (r, c), o in arrows if s == v]
+            # positions of row i of the matrices into v, column i of those out of v
+            row = [[o + i * c + k for o, c in into for k in range(c)] for i in range(d)]
+            col = [[o + k * c + i for o, r, c in out_of for k in range(r)]
+                   for i in range(d)]
+            if not (row and (row[0] or col[0])):
+                continue
+            for i, j in permutations(range(d), 2):
+                add = [(p, (digits[p] + digits[r]) % q) for p, r in zip(row[i], row[j])]
+                sub = [(p, (digits[p] - digits[r]) % q) for p, r in zip(col[j], col[i])]
+                yield perm(add + sub)
+            if q > 2:
+                scale = [(p, up[digits[p]]) for p in row[0]]
+                yield perm(scale + [(p, down[digits[p]]) for p in col[0]])
 
     # -- classification and enumeration ------------------------------------
 
@@ -573,35 +586,26 @@ class RepContext:
 
     def projective_rep(self, v: int) -> Rep:
         """Paths out of v span the projective cover of the simple at v."""
-        paths = self.quiver.paths_from(v)
-        by_vertex = {w: [] for w in range(self.quiver.n)}
-        for w, p in paths:
-            by_vertex[w].append(p)
-        dims = [len(by_vertex[w]) for w in range(self.quiver.n)]
-        mats = []
-        for idx, (s, t) in enumerate(self.quiver.arrows):
-            m = linalg.zeros(dims[t], dims[s])
-            for col, p in enumerate(by_vertex[s]):
-                m[by_vertex[t].index(p + (idx,)), col] = 1
-            mats.append(m)
-        return Rep(tuple(dims), tuple(mats))
+        return self._path_rep(self.quiver.paths_from(v), lambda p, a: p + (a,))
 
     def injective_rep(self, v: int) -> Rep:
         """Paths into v; arrow a acts by stripping a leading a."""
-        by_vertex = {w: [] for w in range(self.quiver.n)}
-        for w in range(self.quiver.n):
-            for end, p in self.quiver.paths_from(w):
-                if end == v:
-                    by_vertex[w].append(p)
-        dims = [len(by_vertex[w]) for w in range(self.quiver.n)]
+        n, paths_from = self.quiver.n, self.quiver.paths_from
+        paths = [(w, p) for w in range(n) for end, p in paths_from(w) if end == v]
+        return self._path_rep(paths, lambda p, a: p[1:] if p and p[0] == a else None)
+
+    def _path_rep(self, paths, act) -> Rep:
+        """Basis: the (vertex, path) pairs; arrow a sends path p to act(p, a),
+        or to 0 where that is None."""
+        by_vertex = [[p for w, p in paths if w == u] for u in range(self.quiver.n)]
         mats = []
         for idx, (s, t) in enumerate(self.quiver.arrows):
-            m = linalg.zeros(dims[t], dims[s])
+            m = linalg.zeros(len(by_vertex[t]), len(by_vertex[s]))
             for col, p in enumerate(by_vertex[s]):
-                if p and p[0] == idx:
-                    m[by_vertex[t].index(p[1:]), col] = 1
+                if (image := act(p, idx)) is not None:
+                    m[by_vertex[t].index(image), col] = 1
             mats.append(m)
-        return Rep(tuple(dims), tuple(mats))
+        return Rep(tuple(map(len, by_vertex)), tuple(mats))
 
     def _indec_name(self, dims, cell: _Cell, oid: int) -> str:
         n = self.quiver.n
@@ -747,14 +751,36 @@ class RepContext:
         return next(maps, None) is not None
 
     def aut_count(self, M: IsoClass) -> int:
+        """|Aut M|, enumerated for 0 and indecomposables.  For M = sum_i X_i^{m_i}
+        with End X_i / rad = F_{q^{d_i}} (Schiffmann, arXiv:math/0611617),
+        |Aut M| = q^{dim End M - sum_i d_i m_i (m_i + 1) / 2}
+                  * prod_i prod_{k=1..m_i} (q^{d_i k} - 1)."""
         count = self._aut_cache.get(M.key)
         if count is not None:
             return count
-        rep = self.representative(M)
-        basis = self.hom_basis(rep, rep)
-        count = sum(1 for _ in self._invertible_maps(basis, rep.dims, "End"))
+        if sum(mult for _, mult in M.key) <= 1:
+            count = self._enumerated_aut_count(M)
+        else:
+            q = self.q
+            degrees = [
+                (_residue_degree(self.aut_count(self._intern(((iid, 1),))), q), mult)
+                for iid, mult in M.key
+            ]
+            # dim End M comes after the summands' counts: a tracer that reads
+            # the last hom_basis per aut_count miss then sees this one
+            rep = self.representative(M)
+            e = len(self.hom_basis(rep, rep))
+            count = q ** (e - sum(d * m * (m + 1) // 2 for d, m in degrees)) * prod(
+                q ** (d * k) - 1 for d, m in degrees for k in range(1, m + 1)
+            )
         self._aut_cache[M.key] = count
         return count
+
+    def _enumerated_aut_count(self, M: IsoClass) -> int:
+        """|Aut M| by enumerating End M (the oracle for the closed form)."""
+        rep = self.representative(M)
+        basis = self.hom_basis(rep, rep)
+        return sum(1 for _ in self._invertible_maps(basis, rep.dims, "End"))
 
     # -- submodule Hall numbers (abelian-category oracle) -----------------------
 

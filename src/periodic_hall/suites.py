@@ -15,6 +15,7 @@ from itertools import product
 
 from .derived import DerivedContext
 from .embed import Embedding, check_identity_3_2
+from .errors import UsageError
 from .extended import ExtendedAlgebra
 from .periodic import PeriodicAlgebra
 
@@ -41,6 +42,11 @@ def sample_module_tuple(
     pool = [c for c in rep.iso_classes_upto(bound) if not c.is_zero]
     if max_total is not None:
         pool = [c for c in pool if c.total_dim <= max_total]
+    if not pool and min(max_nonzero, m) > 0:
+        limit = "" if max_total is None else f" and total dimension <= {max_total}"
+        raise UsageError(
+            f"no nonzero class with dimension vector <= {tuple(bound)}{limit} to sample"
+        )
     classes = [rep.zero_class] * m
     count = rng.randint(0, min(max_nonzero, m))
     for i in rng.sample(range(m), count):

@@ -307,3 +307,27 @@ def test_verify_rejects_negative_counts(capsys, suite, flag):
     assert code == 2
     assert flag in err
     assert "passed" not in out
+
+
+def test_verify_assoc_with_no_nonzero_class_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "verify", "--quiver", "A2", "--q", "2", "--m", "3",
+        "assoc", "--dim-bound", "0", "--samples", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "(0, 0)" in err and "Traceback" not in err
+
+
+def test_list_iso_classes_a2_q3_bound_3_3(capsys):
+    # |Aut| by Krull-Schmidt, checked by hand from the Hom dimensions:
+    # End(S1+S2+P1+P1) is 10-dimensional, End(S1+S1+S2+S2+P1) 13-dimensional
+    code, out, _ = run(
+        capsys, "list", "--quiver", "A2", "--q", "3", "--format", "json",
+        "iso-classes", "--bound", "3,3",
+    )
+    assert code == 0
+    rows = {row["name"]: row["aut"] for row in json.loads(out)["classes"]}
+    assert len(rows) == 30
+    assert rows["S1+S2+P1+P1"] == 15552
+    assert rows["S1+S1+S2+S2+P1"] == 373248

@@ -5,15 +5,20 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodic_hall import linalg
 from periodic_hall.errors import InvariantError, ParseError, ResourceLimitError, UsageError
-from periodic_hall.repcat import Quiver, Rep, RepContext
+from periodic_hall.repcat import Quiver, Rep, RepContext, _residue_degree
+
+from conftest import _rep_context
 
 
 def test_quiver_parsing():
@@ -389,3 +394,168 @@ def test_invariant_error_survives_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("InvariantError:")
+
+
+# -- oracles for the orbit tables and the closed-form |Aut| ---------------------
+
+KRONECKER = "2; 1->2, 1->2"
+
+
+@pytest.mark.parametrize(
+    "quiver, bound", [("A2", (2, 2)), ("A3", (2, 1, 2)), (KRONECKER, (2, 2))]
+)
+@pytest.mark.parametrize("q", [2, 3])
+def test_closed_form_aut_matches_enumeration(ctx_factory, quiver, bound, q):
+    ctx = ctx_factory(quiver, q)
+    decomposable = 0
+    for cls in ctx.iso_classes_upto(bound):
+        assert ctx.aut_count(cls) == ctx._enumerated_aut_count(cls), cls.name
+        decomposable += sum(mult for _, mult in cls.key) > 1
+    assert decomposable > 0
+
+
+def test_residue_degree_reads_units_of_a_local_endomorphism_ring(ctx_factory):
+    for q in (2, 3, 5):
+        for a in range(3):
+            for d in range(1, 4):
+                assert _residue_degree(q**a * (q**d - 1), q) == d
+    with pytest.raises(InvariantError):
+        _residue_degree(5, 3)
+    # the Kronecker modules of dimension (2,2) include regular simples with
+    # End = F_{q^2}, one per closed point of degree 2 on P^1
+    ctx = ctx_factory(KRONECKER, 2)
+    degrees = [
+        _residue_degree(ctx.aut_count(c), 2) for c in ctx.iso_classes_with_dims((2, 2))
+        if len(c.key) == 1 and c.key[0][1] == 1
+    ]
+    assert degrees.count(2) == 1  # x^2 + x + 1, the one irreducible quadratic over F_2
+
+
+def test_closed_form_aut_past_the_enumeration_cap():
+    # End(S1+S2+P1+P1) is 10-dimensional: 3^10 maps would exceed this cap
+    ctx = RepContext(Quiver.parse("A2"), 3, max_brute_force=3**9)
+    M = ctx.class_by_name("S1+S2+P1+P1")
+    assert ctx.aut_count(M) == 15552
+    with pytest.raises(ResourceLimitError, match="End space"):
+        ctx._enumerated_aut_count(M)
+
+
+def _dfs_orbit_table(ctx, cell):
+    """Reference orbit enumeration: depth-first search from each unvisited
+    code in increasing order, applying numpy base-change matrices."""
+    q = ctx.q
+    root = next(g for g in range(1, q) if len({pow(g, k, q) for k in range(q - 1)}) == q - 1)
+    gens = []
+    for v, d in enumerate(cell.dims):
+        pairs = [(i, j, 1, q - 1) for i in range(d) for j in range(d) if i != j]
+        if q > 2 and d:
+            pairs.append((0, 0, root, pow(root, q - 2, q)))
+        for i, j, a, b in pairs:
+            g, ginv = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)
+            g[i, j], ginv[i, j] = a, b
+            gens.append((v, g, ginv))
+    orbit_of = np.full(q ** len(cell.pows), -1, dtype=np.int64)
+    first_code = []
+    for code in range(len(orbit_of)):
+        if orbit_of[code] >= 0:
+            continue
+        oid = len(first_code)
+        first_code.append(code)
+        orbit_of[code] = oid
+        stack = [cell.decode(code, q)]
+        while stack:
+            mats = stack.pop()
+            for v, g, ginv in gens:
+                new = tuple(
+                    (g @ m) % q if t == v else (m @ ginv) % q if s == v else m
+                    for m, (s, t) in zip(mats, ctx.quiver.arrows)
+                )
+                c = cell.encode([x for m in new for x in m.ravel().tolist()])
+                if orbit_of[c] < 0:
+                    orbit_of[c] = oid
+                    stack.append(new)
+    return orbit_of, first_code
+
+
+@pytest.mark.parametrize(
+    "quiver, bound, q",
+    [
+        ("A2", (3, 3), 2),
+        ("A2", (3, 3), 3),
+        ("A3", (2, 2, 2), 2),
+        (KRONECKER, (2, 2), 2),
+        (KRONECKER, (2, 2), 3),
+        (KRONECKER, (3, 2), 2),
+    ],
+)
+def test_orbit_tables_match_depth_first_search(monkeypatch, quiver, bound, q):
+    fast = RepContext(Quiver.parse(quiver), q)
+    fast.iso_classes_upto(bound)
+    tables = {}
+
+    def dfs_minima(self, cell, n_reps):
+        orbit_of, first_code = tables[cell.dims] = _dfs_orbit_table(self, cell)
+        return np.asarray(first_code, dtype=np.int64)[orbit_of]
+
+    monkeypatch.setattr(RepContext, "_orbit_minima", dfs_minima)
+    slow = RepContext(Quiver.parse(quiver), q)
+    slow.iso_classes_upto(bound)
+    assert fast._cells.keys() == slow._cells.keys()
+    for dims, cell in fast._cells.items():
+        if dims in tables:
+            orbit_of, first_code = tables[dims]
+            assert (cell.orbit_of == orbit_of).all(), dims
+            assert cell.first_code == first_code, dims
+        assert [c.name for c in cell.classes] == [
+            c.name for c in slow._cells[dims].classes
+        ], dims
+    assert len(fast._indecs) == len(slow._indecs)
+    for a, b in zip(fast._indecs, slow._indecs):
+        assert (a.name, a.dims) == (b.name, b.dims)
+        assert all((x == y).all() for x, y in zip(a.rep.mats, b.rep.mats)), a.name
+
+
+def test_orbit_tables_hold_one_generator_at_a_time():
+    # A2 (1,14) at q=2: 2^14 codes and 182 transvections at vertex 2, so
+    # holding every generator's permutation would take 182 * 4 bytes per code
+    ctx = RepContext(Quiver.parse("A2"), 2)
+    ctx.iso_classes_upto((0, 14))
+    tracemalloc.start()
+    try:
+        cell = ctx._cell((1, 14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_reps = len(cell.orbit_of)
+    assert n_reps == 2**14
+    assert peak < (len(cell.pows) + 64) * n_reps  # digits, plus a few code arrays
+
+
+_PROPERTY_QUIVERS = ["A2", "A3", KRONECKER]
+
+
+@st.composite
+def _reps_with_base_change(draw):
+    text = draw(st.sampled_from(_PROPERTY_QUIVERS))
+    q = draw(st.sampled_from([2, 3]))
+    quiver = Quiver.parse(text)
+    dims = draw(
+        st.tuples(*[st.integers(0, 3)] * quiver.n).filter(
+            lambda d: q ** sum(d[s] * d[t] for s, t in quiver.arrows) <= 3**9
+        )
+    )
+    mats = []
+    for s, t in quiver.arrows:
+        size = dims[t] * dims[s]
+        entries = draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+        mats.append(np.array(entries, dtype=np.int64).reshape(dims[t], dims[s]))
+    return text, q, Rep(dims, tuple(mats)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_reps_with_base_change())
+def test_classification_is_invariant_under_random_base_change(case):
+    text, q, rep, seed = case
+    ctx = _rep_context(text, q)
+    moved = ctx.random_base_change(rep, random.Random(seed))
+    assert ctx.classify_rep(moved) == ctx.classify_rep(rep)
