@@ -217,7 +217,7 @@ def _verify_report(settings: Settings, args, report: dict) -> int:
 
 def _cmd_verify(args) -> int:
     settings = Settings(args)
-    for flag in ("samples", "max_degrees"):
+    for flag in ("samples", "max_degrees", "total_dim"):
         if getattr(args, flag) < 0:
             raise UsageError(f"--{flag.replace('_', '-')} must be at least 0")
     rng = random.Random(settings.seed)

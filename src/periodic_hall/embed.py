@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .combo import Element, add_term, alternating_sum
 from .errors import UsageError
 from .extended import ExtendedAlgebra, ExtendedBasisElement, convention_range
@@ -138,15 +136,14 @@ def check_identity_3_2(i_dims, index: int) -> bool:
     m = len(i_dims)
     if m % 2 == 0:
         raise UsageError("the telescoping identities need odd m")
-    vecs = [np.asarray(d, dtype=np.int64) for d in i_dims]
     i = index % m
-    full = sum(
-        (-1) ** k * (vecs[(i + k) % m] + vecs[(i + k - 1) % m]) for k in range(m)
-    )
-    if not np.array_equal(full, 2 * vecs[(i - 1) % m]):
+
+    def alternating(ks) -> list:
+        """sum over k in ks of (-1)^k (v_{i+k} + v_{i+k-1}), entry by entry."""
+        pairs = [((-1) ** k, i_dims[(i + k) % m], i_dims[(i + k - 1) % m]) for k in ks]
+        return [sum(s * (a[j] + b[j]) for s, a, b in pairs) for j in range(len(i_dims[i]))]
+
+    prev = i_dims[(i - 1) % m]
+    if alternating(range(m)) != [2 * x for x in prev]:
         return False
-    tail = sum(
-        ((-1) ** k * (vecs[(i + k) % m] + vecs[(i + k - 1) % m]) for k in range(1, m)),
-        np.zeros_like(vecs[0]),
-    )
-    return bool(np.array_equal(tail, vecs[(i - 1) % m] - vecs[i]))
+    return alternating(range(1, m)) == [x - y for x, y in zip(prev, i_dims[i])]

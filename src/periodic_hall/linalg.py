@@ -1,31 +1,23 @@
 """Dense linear algebra over the prime field F_q.
 
-`rref` is the one Gaussian elimination: it works on lists of int rows, and
-the cone loop in `derived` calls it, with the list helpers `_kernel` and
-`_solve`, directly.  The other public functions wrap it for small numpy int64
-arrays with entries in 0..q-1.  Matrices act on column vectors; kernels and
-column spaces are returned as matrices whose columns form a basis.
+A matrix is a list of int rows with entries in 0..q-1, and it acts on
+column vectors.  A matrix with no rows is `[]` whatever its column count, so
+a function that needs the column count of a possibly empty matrix takes it
+as an argument.  `rref` is the one Gaussian elimination; `kernel` returns a
+list of basis vectors, and `mul_t` and `block_diag` build the products and
+direct sums the other layers need.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-
-import numpy as np
+from operator import mul
 
 
 @lru_cache(maxsize=None)
 def _inverse_table(q: int) -> tuple:
     return tuple(0 if a == 0 else pow(a, q - 2, q) for a in range(q))
-
-
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.int64)
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
 
 
 def rref(rows: list, q: int):
@@ -55,8 +47,13 @@ def rref(rows: list, q: int):
     return r, pivots
 
 
-def _kernel(rows: list, ncols: int, q: int) -> list:
-    """Basis vectors of {x : a x = 0} for the matrix a given by its rows."""
+def rank(rows: list, q: int) -> int:
+    return len(rref(rows, q)[1]) if rows and rows[0] else 0
+
+
+def kernel(rows: list, ncols: int, q: int) -> list:
+    """Basis vectors of {x : a x = 0} for the matrix a with these rows and
+    ncols columns."""
     if not rows or not ncols:
         return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     r, pivots = rref(rows, q)
@@ -70,9 +67,12 @@ def _kernel(rows: list, ncols: int, q: int) -> list:
     return basis
 
 
-def _solve(a: list, b: list, ncols: int, q: int):
-    """Rows of one solution x of a x = b, where a has ncols columns and at
-    least one row, or None."""
+def solve(a: list, b: list, ncols: int, q: int):
+    """Rows of one solution x of a x = b, or None, where a has ncols columns
+    and b as many rows as a.  With no equations (a and b are []) x is the
+    ncols x 0 matrix."""
+    if not a:
+        return [[] for _ in range(ncols)]
     r, pivots = rref([ra + rb for ra, rb in zip(a, b)], q)
     if pivots and pivots[-1] >= ncols:
         return None
@@ -82,85 +82,75 @@ def _solve(a: list, b: list, ncols: int, q: int):
     return x
 
 
-def rank(a: np.ndarray, q: int) -> int:
-    return len(rref(a.tolist(), q)[1]) if a.size else 0
+def is_invertible(a: list, q: int) -> bool:
+    n = len(a)
+    return all(len(row) == n for row in a) and rank(a, q) == n
 
 
-def kernel(a: np.ndarray, q: int) -> np.ndarray:
-    """Columns form a basis of {x : a @ x = 0}."""
-    basis = _kernel(a.tolist(), a.shape[1], q)
-    return np.array(basis, dtype=np.int64).reshape(len(basis), a.shape[1]).T
-
-
-def column_space(a: np.ndarray, q: int) -> np.ndarray:
-    """Columns of a forming a basis of the column space (pivot columns)."""
-    return a[:, rref(a.tolist(), q)[1]] % q if a.size else zeros(a.shape[0], 0)
-
-
-def solve(a: np.ndarray, b: np.ndarray, q: int):
-    """One solution x of a @ x = b (b may have several columns), or None."""
-    b = np.asarray(b, dtype=np.int64)
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.shape[0] == 0:
-        return zeros(a.shape[1], b.shape[1])
-    x = _solve(a.tolist(), b.tolist(), a.shape[1], q)
-    return None if x is None else np.array(x, dtype=np.int64).reshape(a.shape[1], b.shape[1])
-
-
-def is_invertible(a: np.ndarray, q: int) -> bool:
-    return a.shape[0] == a.shape[1] and rank(a, q) == a.shape[0]
-
-
-def inverse(a: np.ndarray, q: int):
+def inverse(a: list, q: int):
     """a^-1, or None when a is singular or not square."""
-    return solve(a, identity(a.shape[0]), q) if a.shape[0] == a.shape[1] else None
+    n = len(a)
+    if any(len(row) != n for row in a):
+        return None
+    return solve(a, [[int(i == j) for j in range(n)] for i in range(n)], n, q)
 
 
-def row_space(a: np.ndarray, q: int) -> np.ndarray:
+def row_space(rows: list, q: int) -> list:
     """Nonzero rows of the rref: canonical basis of the row space."""
-    if a.size == 0:
-        return zeros(0, a.shape[1] if a.ndim == 2 else 0)
-    r, pivots = rref(a.tolist(), q)
-    return np.array(r[: len(pivots)], dtype=np.int64)
+    if not rows or not rows[0]:
+        return []
+    r, pivots = rref(rows, q)
+    return r[: len(pivots)]
 
 
-def extend_row_basis(base: np.ndarray, candidates: np.ndarray, q: int) -> np.ndarray:
+def extend_row_basis(base: list, candidates: list, q: int) -> list:
     """Rows of `candidates` extending the row space of `base` to a basis
     of the combined row space; returned in candidate order."""
-    cols = candidates.shape[1]
-    stack = row_space(base, q) if base.size else zeros(0, cols)
+    stack = row_space(base, q)
     picked, r = [], rank(stack, q)
     for row in candidates:
-        trial = np.concatenate([stack, row.reshape(1, -1)], axis=0)
+        trial = stack + [row]
         if rank(trial, q) > r:
             stack, r = row_space(trial, q), r + 1
             picked.append(row)
-    return np.array(picked, dtype=np.int64).reshape(len(picked), cols)
+    return picked
 
 
-def intertwining_rows(nvars: int, x_slot, a: np.ndarray, b: np.ndarray, y_slot, q: int):
+def mul_t(a: list, b: list, q: int) -> list:
+    """a b^T mod q: entry (i, j) is row i of a times row j of b."""
+    return [[sum(map(mul, row, col)) % q for col in b] for row in a]
+
+
+def block_diag(a: list, a_cols: int, b: list, b_cols: int) -> list:
+    """[[a, 0], [0, b]] for matrices a and b with a_cols and b_cols columns."""
+    return [row + [0] * b_cols for row in a] + [[0] * a_cols + row for row in b]
+
+
+def intertwining_rows(nvars: int, x_slot, a: list, b: list, y_slot, q: int) -> list:
     """Rows of the linear system X a - b Y = 0 in a vector of nvars unknowns.
 
     X and Y are row-major blocks of the unknowns, each given as (offset, rows,
     cols), or None when the block holds no unknowns (its term then drops out).
-    Returns None when there are no equations or no unknowns.
+    There is one equation per entry of the product, row by row; a has the
+    columns of Y when it has no rows.
     """
-    n_eq = b.shape[0] * a.shape[1]
-    if n_eq == 0 or (x_slot is None and y_slot is None):
-        return None
-    block = zeros(n_eq, nvars)
-    if x_slot is not None:
-        off, r, c = x_slot
-        # vec(X a) = kron(I, a^T) vec(X)
-        block[:, off : off + r * c] = np.kron(identity(r), a.T)
-    if y_slot is not None:
-        off, r, c = y_slot
-        # vec(b Y) = kron(b, I) vec(Y)
-        block[:, off : off + r * c] -= np.kron(b, identity(c))
-    return block % q
+    if x_slot is None and y_slot is None:
+        return []
+    n = len(a[0]) if a else y_slot[2]
+    out = []
+    for i, b_row in enumerate(b):
+        for j in range(n):
+            row = [0] * nvars
+            if x_slot is not None:  # (X a)_ij = sum_k X_ik a_kj
+                off, _, c = x_slot
+                for k in range(c):
+                    row[off + i * c + k] = a[k][j]
+            if y_slot is not None:  # (b Y)_ij = sum_k b_ik Y_kj
+                off, r, c = y_slot
+                for k in range(r):
+                    row[off + k * c + j] = -b_row[k] % q
+            out.append(row)
+    return out
 
 
 def subspaces(n: int, k: int, q: int):
@@ -168,7 +158,7 @@ def subspaces(n: int, k: int, q: int):
     if k < 0 or k > n:
         return
     if k == 0:
-        yield zeros(0, n)
+        yield []
         return
     for pivots in combinations(range(n), k):
         free_positions = [
@@ -177,11 +167,8 @@ def subspaces(n: int, k: int, q: int):
             for j in range(pivots[i] + 1, n)
             if j not in pivots
         ]
-        base = zeros(k, n)
-        for i, p in enumerate(pivots):
-            base[i, p] = 1
         for values in product(range(q), repeat=len(free_positions)):
-            m = base.copy()
+            m = [[int(j == p) for j in range(n)] for p in pivots]
             for (i, j), val in zip(free_positions, values):
-                m[i, j] = val
+                m[i][j] = val
             yield m

@@ -33,7 +33,6 @@ from .errors import InvariantError, ParseError, ResourceLimitError, UsageError
 from .scalar import is_prime
 
 _PRESET = re.compile(r"^A(\d+)$", re.IGNORECASE)
-_ctx_counter = 0
 
 
 class Quiver:
@@ -132,7 +131,8 @@ class Quiver:
 
 
 class Rep:
-    """Concrete representation: per-vertex dimensions, per-arrow matrices."""
+    """Concrete representation: per-vertex dimensions, per-arrow matrices as
+    lists of int rows (arrow s -> t: dims[t] rows of dims[s] entries)."""
 
     __slots__ = ("dims", "mats")
 
@@ -149,7 +149,9 @@ class Rep:
 
 
 def make_rep(quiver: Quiver, q: int, dims, mats=None) -> Rep:
-    """Validate shapes and reduce entries mod q."""
+    """The representation with these matrices (any nested sequences of ints,
+    numpy arrays included; zero matrices when mats is None), shapes checked
+    and entries reduced mod q."""
     dims = tuple(int(d) for d in dims)
     if len(dims) != quiver.n or any(d < 0 for d in dims):
         raise UsageError(f"bad dimension vector {dims}")
@@ -157,24 +159,25 @@ def make_rep(quiver: Quiver, q: int, dims, mats=None) -> Rep:
     for idx, (s, t) in enumerate(quiver.arrows):
         shape = (dims[t], dims[s])
         if mats is None:
-            out.append(linalg.zeros(*shape))
-        else:
-            m = np.asarray(mats[idx], dtype=np.int64) % q
-            if m.shape != shape:
-                raise UsageError(f"arrow {idx} matrix shape {m.shape} != {shape}")
-            out.append(m)
+            out.append([[0] * dims[s] for _ in range(dims[t])])
+            continue
+        try:
+            m = [[int(x) % q for x in row] for row in mats[idx]]
+        except TypeError as exc:
+            raise UsageError(f"arrow {idx} matrix is not a {shape} matrix") from exc
+        if len(m) != dims[t] or any(len(row) != dims[s] for row in m):
+            raise UsageError(f"arrow {idx} matrix is not a {shape} matrix")
+        out.append(m)
     return Rep(dims, tuple(out))
 
 
 def direct_sum_reps(quiver: Quiver, a: Rep, b: Rep) -> Rep:
     dims = tuple(x + y for x, y in zip(a.dims, b.dims))
-    mats = []
-    for idx, (s, t) in enumerate(quiver.arrows):
-        m = linalg.zeros(dims[t], dims[s])
-        m[: a.dims[t], : a.dims[s]] = a.mats[idx]
-        m[a.dims[t] :, a.dims[s] :] = b.mats[idx]
-        mats.append(m)
-    return Rep(dims, tuple(mats))
+    mats = tuple(
+        linalg.block_diag(ma, a.dims[s], mb, b.dims[s])
+        for (s, _), ma, mb in zip(quiver.arrows, a.mats, b.mats)
+    )
+    return Rep(dims, mats)
 
 
 class _VarLayout:
@@ -196,27 +199,22 @@ class _VarLayout:
         slot = self.index.get((degree, vertex))
         return slot if slot is not None and slot[1] and slot[2] else None
 
-    def stack(self, rows) -> np.ndarray:
-        """One constraint matrix over these unknowns from row blocks."""
-        if rows:
-            return np.concatenate(rows, axis=0)
-        return linalg.zeros(0, self.size)
+    @staticmethod
+    def _block(vec, offset, rows, cols) -> list:
+        return [vec[offset + i * cols : offset + (i + 1) * cols] for i in range(rows)]
 
     def unflatten(self, vec):
         """{degree: {vertex: matrix}} over the blocks that hold unknowns."""
         out = {}
         for degree, vertex, rows, cols, offset in self.blocks:
-            out.setdefault(degree, {})[vertex] = vec[
-                offset : offset + rows * cols
-            ].reshape(rows, cols)
+            out.setdefault(degree, {})[vertex] = self._block(vec, offset, rows, cols)
         return out
 
     def matrices(self, vec) -> dict:
         """{degree: per-vertex matrices}, empty blocks included."""
         out = {}
         for (degree, _), (offset, rows, cols) in self.index.items():
-            block = vec[offset : offset + rows * cols].reshape(rows, cols)
-            out.setdefault(degree, []).append(block)
+            out.setdefault(degree, []).append(self._block(vec, offset, rows, cols))
         return {degree: tuple(mats) for degree, mats in out.items()}
 
 
@@ -228,7 +226,7 @@ def _morphism_constraints(ctx: "RepContext", layout: _VarLayout, pairs) -> list:
     rows = []
     for degree, (src, dst) in pairs.items():
         for idx, (s, t) in enumerate(ctx.quiver.arrows):
-            block = linalg.intertwining_rows(
+            rows += linalg.intertwining_rows(
                 layout.size,
                 layout.slot(degree, t),
                 src.mats[idx],
@@ -236,16 +234,16 @@ def _morphism_constraints(ctx: "RepContext", layout: _VarLayout, pairs) -> list:
                 layout.slot(degree, s),
                 ctx.q,
             )
-            if block is not None:
-                rows.append(block)
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsoClass:
-    """Isomorphism class: canonical multiset of indecomposable labels."""
+    """Isomorphism class: canonical multiset of indecomposable labels.
 
-    ctx: int
+    A context interns one object per key, so classes compare by identity.
+    """
+
     key: tuple  # ((indec_id, multiplicity), ...) in display order
     name: str
     dims: tuple
@@ -296,20 +294,19 @@ class _Cell:
             )
         return sum(map(mul, flat, self.pows))
 
+    def orbit(self, mats, q: int) -> int:
+        """Orbit id of the representation with these matrices (int rows)."""
+        flat = [x % q for m in mats for row in m for x in row]
+        return int(self.orbit_of[self.encode(flat)])
+
     def decode(self, code: int, q: int):
         digits = [code // p % q for p in self.pows]
         mats = []
         pos = 0
         for rows, cols in self.shapes:
-            k = rows * cols
-            mats.append(np.array(digits[pos : pos + k], dtype=np.int64).reshape(rows, cols))
-            pos += k
+            mats.append([digits[pos + i * cols : pos + (i + 1) * cols] for i in range(rows)])
+            pos += rows * cols
         return tuple(mats)
-
-
-def _entries(mats) -> list:
-    """The entries of numpy matrices, arrow by arrow and row by row."""
-    return [x for m in mats for x in m.ravel().tolist()]
 
 
 @lru_cache(maxsize=None)
@@ -353,7 +350,6 @@ class RepContext:
         max_classes: int = 50_000,
         max_brute_force: int = 2_000_000,
     ):
-        global _ctx_counter
         if not is_prime(q):
             raise UsageError(f"q must be prime, got {q}")
         self.quiver = quiver
@@ -361,8 +357,6 @@ class RepContext:
         self.max_cell_reps = max_cell_reps
         self.max_classes = max_classes
         self.max_brute_force = max_brute_force
-        _ctx_counter += 1
-        self.token = _ctx_counter
         self._cells: dict = {}
         self._classes: dict = {}
         self._indecs: list = []
@@ -378,9 +372,10 @@ class RepContext:
     def _intern(self, key: tuple) -> IsoClass:
         cls = self._classes.get(key)
         if cls is None:
-            dims = np.zeros(self.quiver.n, dtype=np.int64)
+            dims = [0] * self.quiver.n
             for iid, mult in key:
-                dims += mult * np.asarray(self._indecs[iid].dims, dtype=np.int64)
+                for v, d in enumerate(self._indecs[iid].dims):
+                    dims[v] += mult * d
             name = (
                 "+".join(
                     self._indecs[iid].name
@@ -389,7 +384,7 @@ class RepContext:
                 )
                 or "0"
             )
-            cls = IsoClass(self.token, key, name, tuple(int(d) for d in dims))
+            cls = IsoClass(key, name, tuple(dims))
             self._classes[key] = cls
             if len(self._classes) > self.max_classes:
                 raise ResourceLimitError(
@@ -442,7 +437,7 @@ class RepContext:
         cell = _Cell(dims, shapes, pows)
         label = self._orbit_minima(cell, n_reps)
         first = np.flatnonzero(label == np.arange(n_reps))
-        cell.orbit_of = orbit_of = np.searchsorted(first, label).astype(label.dtype)
+        cell.orbit_of = np.searchsorted(first, label).astype(label.dtype)
         cell.first_code = first_code = first.tolist()
         cell.classes = [None] * len(first_code) if any(dims) else [self.zero_class]
 
@@ -461,7 +456,7 @@ class RepContext:
                     rep = direct_sum_reps(
                         q, self.representative(c1), self.representative(c2)
                     )
-                    oid = int(orbit_of[cell.encode(_entries(rep.mats))])
+                    oid = cell.orbit(rep.mats, self.q)
                     cls = self._intern(key)
                     if cell.classes[oid] not in (None, cls):
                         raise InvariantError(
@@ -475,7 +470,7 @@ class RepContext:
                 continue
             rep = Rep(dims, cell.decode(first_code[oid], self.q))
             iid = len(self._indecs)
-            name = self._indec_name(dims, cell, orbit_of[first_code[oid]])
+            name = self._indec_name(dims, cell, oid)
             self._indecs.append(_Indec(iid, name, dims, rep))
             self._indec_by_name[name] = iid
             cell.classes[oid] = self._intern(((iid, 1),))
@@ -538,17 +533,10 @@ class RepContext:
     # -- classification and enumeration ------------------------------------
 
     def classify_rep(self, rep: Rep) -> IsoClass:
-        """Class of `rep`.  Its matrices are numpy arrays, or lists of int rows
-        as the derived layer's cone homology builds them."""
-        q = self.q
-        flat = [
-            x % q
-            for m in rep.mats
-            for row in (m.tolist() if isinstance(m, np.ndarray) else m)
-            for x in row
-        ]
+        """Class of `rep`, whose matrices are lists of int rows; entries need
+        not be reduced mod q."""
         cell = self._cell(rep.dims)
-        return cell.classes[int(cell.orbit_of[cell.encode(flat)])]
+        return cell.classes[cell.orbit(rep.mats, self.q)]
 
     def representative(self, cls: IsoClass) -> Rep:
         rep = self._rep_cache.get(cls.key)
@@ -600,10 +588,10 @@ class RepContext:
         by_vertex = [[p for w, p in paths if w == u] for u in range(self.quiver.n)]
         mats = []
         for idx, (s, t) in enumerate(self.quiver.arrows):
-            m = linalg.zeros(len(by_vertex[t]), len(by_vertex[s]))
+            m = [[0] * len(by_vertex[s]) for _ in by_vertex[t]]
             for col, p in enumerate(by_vertex[s]):
                 if (image := act(p, idx)) is not None:
-                    m[by_vertex[t].index(image), col] = 1
+                    m[by_vertex[t].index(image)][col] = 1
             mats.append(m)
         return Rep(tuple(map(len, by_vertex)), tuple(mats))
 
@@ -617,7 +605,7 @@ class RepContext:
                 rep = builder(v)
                 if rep.dims != dims:
                     continue
-                if int(cell.orbit_of[cell.encode(_entries(rep.mats))]) == oid:
+                if cell.orbit(rep.mats, self.q) == oid:
                     name = f"{prefix}{v + 1}"
                     if name not in self._indec_by_name:
                         return name
@@ -671,10 +659,6 @@ class RepContext:
     def euler(self, d, e) -> int:
         return self.quiver.euler(d, e)
 
-    def euler_t_units(self, a_dbl, b_dbl) -> int:
-        """<a/2, b/2> as an integer multiple of 1/4 (doubled-vector inputs)."""
-        return self.quiver.euler(a_dbl, b_dbl)
-
     def sym_t_units(self, a_dbl, b_dbl) -> int:
         """(a/2, b/2) in quarter units, symmetrized Euler form."""
         return self.quiver.euler(a_dbl, b_dbl) + self.quiver.euler(b_dbl, a_dbl)
@@ -682,20 +666,19 @@ class RepContext:
     # -- Hom, Ext, Aut ---------------------------------------------------------
 
     def _hom_system(self, repM: Rep, repN: Rep):
-        """Layout of the unknowns phi_v: M_v -> N_v and the matrix whose
-        kernel is Hom(M, N)."""
+        """Layout of the unknowns phi_v: M_v -> N_v and the rows of the matrix
+        whose kernel is Hom(M, N)."""
         layout = _VarLayout(
             (0, v, repN.dims[v], repM.dims[v]) for v in range(self.quiver.n)
         )
-        rows = _morphism_constraints(self, layout, {0: (repM, repN)})
-        return layout, layout.stack(rows)
+        return layout, _morphism_constraints(self, layout, {0: (repM, repN)})
 
     def hom_dim(self, M: IsoClass, N: IsoClass) -> int:
         key = (M.key, N.key)
         h = self._hom_cache.get(key)
         if h is None:
-            _, a = self._hom_system(self.representative(M), self.representative(N))
-            h = a.shape[1] - linalg.rank(a, self.q)
+            layout, rows = self._hom_system(self.representative(M), self.representative(N))
+            h = layout.size - linalg.rank(rows, self.q)
             self._hom_cache[key] = h
         return h
 
@@ -713,9 +696,8 @@ class RepContext:
 
     def hom_basis(self, repM: Rep, repN: Rep) -> list:
         """Basis of Hom(M, N) as tuples of per-vertex matrices."""
-        layout, a = self._hom_system(repM, repN)
-        ker = linalg.kernel(a, self.q)
-        return [layout.matrices(ker[:, k])[0] for k in range(ker.shape[1])]
+        layout, rows = self._hom_system(repM, repN)
+        return [layout.matrices(vec)[0] for vec in linalg.kernel(rows, layout.size, self.q)]
 
     def _invertible_maps(self, basis, dims, space: str):
         """Coefficient vectors of the invertible maps in span(basis).
@@ -723,19 +705,20 @@ class RepContext:
         Brute force over F_q^{len(basis)}; dims is the common dimension
         vector of source and target, space names the span in the cap error.
         """
-        h = len(basis)
-        if self.q**h > self.max_brute_force:
+        h, q = len(basis), self.q
+        if q**h > self.max_brute_force:
             raise ResourceLimitError(f"{space} space too large to enumerate ({h} dims)")
-        for coeffs in product(range(self.q), repeat=h):
+        for coeffs in product(range(q), repeat=h):
             ok = True
-            for v in range(self.quiver.n):
-                if dims[v] == 0:
+            for v, d in enumerate(dims):
+                if d == 0:
                     continue
-                phi = sum(
-                    (c * basis[k][v] for k, c in enumerate(coeffs) if c),
-                    linalg.zeros(dims[v], dims[v]),
-                )
-                if not linalg.is_invertible(phi % self.q, self.q):
+                terms = [(c, basis[k][v]) for k, c in enumerate(coeffs) if c]
+                phi = [
+                    [sum(c * m[i][j] for c, m in terms) % q for j in range(d)]
+                    for i in range(d)
+                ]
+                if not linalg.is_invertible(phi, q):
                     ok = False
                     break
             if ok:
@@ -816,13 +799,13 @@ class RepContext:
         q = self.q
         mats = []
         for idx, (s, t) in enumerate(self.quiver.arrows):
-            image = (repL.mats[idx] @ rows[s].T) % q
-            z = linalg.solve(rows[t].T, image, q)
+            image = linalg.mul_t(repL.mats[idx], rows[s], q)
+            span_t = [[u[i] for u in rows[t]] for i in range(repL.dims[t])]
+            z = linalg.solve(span_t, image, len(rows[t]), q)
             if z is None:
                 return None
             mats.append(z)
-        dims = tuple(rows[v].shape[0] for v in range(self.quiver.n))
-        return Rep(dims, tuple(mats))
+        return Rep(tuple(map(len, rows)), tuple(mats))
 
     def _quotient_rep(self, repL: Rep, rows):
         q = self.q
@@ -831,40 +814,34 @@ class RepContext:
         inv_basis = []
         for v in range(n):
             d = repL.dims[v]
-            c = linalg.extend_row_basis(rows[v], linalg.identity(d), q)
+            identity = [[int(i == j) for j in range(d)] for i in range(d)]
+            c = linalg.extend_row_basis(rows[v], identity, q)
             comp.append(c)
-            w = np.concatenate([rows[v], c], axis=0)  # rows form a basis
-            inv_basis.append(linalg.inverse(w.T, q))
+            w = rows[v] + c  # rows form a basis
+            inv_basis.append(linalg.inverse([list(col) for col in zip(*w)], q))
         mats = []
         for idx, (s, t) in enumerate(self.quiver.arrows):
-            k_t = rows[t].shape[0]
-            image = (repL.mats[idx] @ comp[s].T) % q
-            coords = (inv_basis[t] @ image) % q
-            mats.append(coords[k_t:, :])
-        dims = tuple(comp[v].shape[0] for v in range(n))
-        return Rep(dims, tuple(mats))
+            # coordinates of L_a c in the basis rows[t] + comp[t], for c in comp[s]
+            image_t = linalg.mul_t(comp[s], repL.mats[idx], q)
+            coords = linalg.mul_t(inv_basis[t], image_t, q)
+            mats.append(coords[len(rows[t]) :])
+        return Rep(tuple(map(len, comp)), tuple(mats))
 
     # -- misc -------------------------------------------------------------------
 
     def random_base_change(self, rep: Rep, rng) -> Rep:
         """Random isomorphic copy of rep (for invariance tests)."""
         q = self.q
-        mats = list(rep.mats)
         gs = []
         for d in rep.dims:
-            if d == 0:
-                gs.append(linalg.zeros(0, 0))
-                continue
             while True:
-                g = np.array(
-                    [[rng.randrange(q) for _ in range(d)] for _ in range(d)],
-                    dtype=np.int64,
-                )
-                if linalg.is_invertible(g, q):
+                g = [[rng.randrange(q) for _ in range(d)] for _ in range(d)]
+                if d == 0 or linalg.is_invertible(g, q):
                     gs.append(g)
                     break
         out = []
         for idx, (s, t) in enumerate(self.quiver.arrows):
-            ginv = linalg.inverse(gs[s], q)
-            out.append((gs[t] @ mats[idx] @ ginv) % q)
+            ginv_t = [list(col) for col in zip(*linalg.inverse(gs[s], q))]
+            # g_t m g_s^-1, where mul_t(ginv_t, m) is (m g_s^-1)^T
+            out.append(linalg.mul_t(gs[t], linalg.mul_t(ginv_t, rep.mats[idx], q), q))
         return Rep(rep.dims, tuple(out))

@@ -298,7 +298,8 @@ def test_config_rejects_cap_below_minimum(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
-    "suite, flag", [("assoc", "--samples"), ("embedding", "--max-degrees")]
+    "suite, flag",
+    [("assoc", "--samples"), ("embedding", "--max-degrees"), ("partition", "--total-dim")],
 )
 def test_verify_rejects_negative_counts(capsys, suite, flag):
     code, out, err = run(

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from periodic_hall import linalg
 from periodic_hall.errors import InvariantError, ParseError, ResourceLimitError, UsageError
-from periodic_hall.repcat import Quiver, Rep, RepContext, _residue_degree
+from periodic_hall.repcat import Quiver, Rep, RepContext, _residue_degree, make_rep
 
 from conftest import _rep_context
 
@@ -84,8 +84,8 @@ def test_euler_form(ctx_factory):
     ctx = ctx_factory("A2", 2)
     assert ctx.euler((1, 0), (0, 1)) == -1
     assert ctx.euler((1, 0), (0, 0)) == 0
-    # half-class pairing in quarter units: <S1/2, S1/2> = 1/4
-    assert ctx.euler_t_units((1, 0), (1, 0)) == 1
+    # on doubled vectors the form counts quarter units: <S1/2, S1/2> = 1/4
+    assert ctx.euler((1, 0), (1, 0)) == 1
     assert ctx.sym_t_units((1, 0), (0, 1)) == -1
 
 
@@ -199,22 +199,80 @@ def test_hom_basis_intertwines(ctx_factory, quiver, bound, q):
         assert len(basis) == ctx.hom_dim(M, N)
         for phi in basis:
             for v in range(ctx.quiver.n):
-                assert phi[v].shape == (repN.dims[v], repM.dims[v])
+                assert _is_int_rows(phi[v], (repN.dims[v], repM.dims[v]), q)
             for idx, (s, t) in enumerate(ctx.quiver.arrows):
-                lhs = (phi[t] @ repM.mats[idx]) % q
-                rhs = (repN.mats[idx] @ phi[s]) % q
-                assert (lhs == rhs).all(), (M, N, idx)
+                lhs = _matmul(phi[t], repM.mats[idx], repM.dims[s], q)
+                rhs = _matmul(repN.mats[idx], phi[s], repM.dims[s], q)
+                assert lhs == rhs, (M, N, idx)
         if basis:
-            flat = np.stack(
-                [np.concatenate([m.reshape(-1) for m in phi]) for phi in basis]
-            )
+            flat = [[x for m in phi for row in m for x in row] for phi in basis]
             assert linalg.rank(flat, q) == len(basis)  # a basis, not a spanning set
+
+
+def _is_int_rows(m, shape, q) -> bool:
+    """m is a list of `shape[0]` lists of `shape[1]` ints in 0..q-1 (numpy
+    integers do not count)."""
+    rows, cols = shape
+    return (
+        type(m) is list
+        and len(m) == rows
+        and all(type(row) is list and len(row) == cols for row in m)
+        and all(type(x) is int and 0 <= x < q for row in m for x in row)
+    )
+
+
+def _matmul(a, b, cols, q):
+    """a b mod q for int-row matrices, b with cols columns."""
+    return [
+        [sum(row[k] * b[k][j] for k in range(len(b))) % q for j in range(cols)]
+        for row in a
+    ]
+
+
+@pytest.mark.parametrize(
+    "quiver, bound",
+    [("A2", (2, 2)), ("A3", (1, 1, 1)), ("2; 1->2, 1->2", (2, 2))],
+)
+@pytest.mark.parametrize("q", [2, 3])
+def test_matrices_are_int_rows(dctx_factory, quiver, bound, q):
+    """Representatives, Hom bases and resolutions hold every matrix as a list
+    of int rows shaped by the dimension vectors, and make_rep turns numpy
+    arrays and unreduced rows into the same rows."""
+    d = dctx_factory(quiver, q)
+    ctx = d.rep
+    arrows = ctx.quiver.arrows
+    classes = ctx.iso_classes_upto(bound)
+    for M in classes:
+        rep = ctx.representative(M)
+        for m, (s, t) in zip(rep.mats, arrows):
+            assert _is_int_rows(m, (rep.dims[t], rep.dims[s]), q), M
+        for N in classes:
+            repN = ctx.representative(N)
+            for phi in ctx.hom_basis(rep, repN):
+                for v, m in enumerate(phi):
+                    assert _is_int_rows(m, (repN.dims[v], rep.dims[v]), q), (M, N)
+        cpx = d.resolution(d.stalk(M, 1))
+        for n, term in cpx.terms.items():
+            for m, (s, t) in zip(term.mats, arrows):
+                assert _is_int_rows(m, (term.dims[t], term.dims[s]), q), (M, n)
+            for v, m in enumerate(cpx.diff(n)):
+                assert _is_int_rows(m, (cpx.term(n + 1).dims[v], term.dims[v]), q)
+
+        shapes = [(rep.dims[t], rep.dims[s]) for s, t in arrows]
+        arrays = [np.array(m, dtype=np.int64).reshape(sh) for m, sh in zip(rep.mats, shapes)]
+        unreduced = [[[x + q * k for x in row] for row in m] for k, m in enumerate(rep.mats)]
+        for mats in (arrays, unreduced):
+            made = make_rep(ctx.quiver, q, rep.dims, mats)
+            assert made.dims == rep.dims and made.mats == rep.mats, M
+        one_more_row = [m + [[0] * sh[1]] for m, sh in zip(rep.mats, shapes)]
+        vectors = [[1] for _ in arrows]  # a vector per arrow, not a matrix
+        for bad in (one_more_row, vectors):
+            with pytest.raises(UsageError):
+                make_rep(ctx.quiver, q, rep.dims, bad)
 
 
 def test_orbit_classification_matches_intertwiner_on_random_reps(ctx_factory):
     # two independent isomorphism deciders must agree on arbitrary matrices
-    import numpy as np
-
     rng = random.Random(71)
     for quiver, q in (("A2", 2), ("A2", 3)):
         ctx = ctx_factory(quiver, q)
@@ -223,10 +281,7 @@ def test_orbit_classification_matches_intertwiner_on_random_reps(ctx_factory):
             reps = []
             for _ in range(2):
                 mats = [
-                    np.array(
-                        [rng.randrange(q) for _ in range(dims[t] * dims[s])],
-                        dtype=np.int64,
-                    ).reshape(dims[t], dims[s])
+                    [[rng.randrange(q) for _ in range(dims[s])] for _ in range(dims[t])]
                     for s, t in ctx.quiver.arrows
                 ]
                 reps.append(Rep(dims, tuple(mats)))
@@ -247,6 +302,14 @@ def test_iso_classes_are_interned(ctx_factory):
     a = ctx.class_by_name("S1+P1")
     b = ctx.direct_sum_class(ctx.class_by_name("P1"), ctx.class_by_name("S1"))
     assert a is b
+
+
+def test_iso_classes_of_two_contexts_are_distinct():
+    a, b = (RepContext(Quiver.parse("A2"), 2) for _ in range(2))
+    p1a, p1b = a.class_by_name("P1"), b.class_by_name("P1")
+    assert (p1a.key, p1a.name, p1a.dims) == (p1b.key, p1b.name, p1b.dims)
+    assert p1a != p1b
+    assert p1b not in {p1a: 1}
 
 
 def test_iso_classes_upto_is_cached_per_bound(monkeypatch):
@@ -272,12 +335,12 @@ def test_iso_classes_upto_is_cached_per_bound(monkeypatch):
 @pytest.mark.parametrize("q", [2, 3])
 def test_classify_rep_accepts_int_rows(ctx_factory, quiver, q):
     """Matrices given as lists of int rows, entries unreduced or not, get the
-    class of the same numpy representation."""
+    class of the representative with those rows."""
     ctx = ctx_factory(quiver, q)
     rng = random.Random(q)
     for cls in ctx.iso_classes_upto((2, 2)):
         rep = ctx.representative(cls)
-        rows = tuple(m.tolist() for m in rep.mats)
+        rows = tuple([list(row) for row in m] for m in rep.mats)
         assert ctx.classify_rep(Rep(rep.dims, rows)) is cls
         shifted = tuple(
             [[x + q * rng.randrange(3) for x in row] for row in m] for m in rows
@@ -442,7 +505,7 @@ def test_closed_form_aut_past_the_enumeration_cap():
 
 def _dfs_orbit_table(ctx, cell):
     """Reference orbit enumeration: depth-first search from each unvisited
-    code in increasing order, applying numpy base-change matrices."""
+    code in increasing order, applying base-change matrices."""
     q = ctx.q
     root = next(g for g in range(1, q) if len({pow(g, k, q) for k in range(q - 1)}) == q - 1)
     gens = []
@@ -451,10 +514,11 @@ def _dfs_orbit_table(ctx, cell):
         if q > 2 and d:
             pairs.append((0, 0, root, pow(root, q - 2, q)))
         for i, j, a, b in pairs:
-            g, ginv = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)
-            g[i, j], ginv[i, j] = a, b
+            g = [[int(k == l) for l in range(d)] for k in range(d)]
+            ginv = [row[:] for row in g]
+            g[i][j], ginv[i][j] = a, b
             gens.append((v, g, ginv))
-    orbit_of = np.full(q ** len(cell.pows), -1, dtype=np.int64)
+    orbit_of = [-1] * q ** len(cell.pows)
     first_code = []
     for code in range(len(orbit_of)):
         if orbit_of[code] >= 0:
@@ -466,11 +530,13 @@ def _dfs_orbit_table(ctx, cell):
         while stack:
             mats = stack.pop()
             for v, g, ginv in gens:
+                dims = cell.dims
                 new = tuple(
-                    (g @ m) % q if t == v else (m @ ginv) % q if s == v else m
+                    _matmul(g, m, dims[s], q) if t == v
+                    else _matmul(m, ginv, dims[v], q) if s == v else m
                     for m, (s, t) in zip(mats, ctx.quiver.arrows)
                 )
-                c = cell.encode([x for m in new for x in m.ravel().tolist()])
+                c = cell.encode([x for m in new for row in m for x in row])
                 if orbit_of[c] < 0:
                     orbit_of[c] = oid
                     stack.append(new)
@@ -504,7 +570,7 @@ def test_orbit_tables_match_depth_first_search(monkeypatch, quiver, bound, q):
     for dims, cell in fast._cells.items():
         if dims in tables:
             orbit_of, first_code = tables[dims]
-            assert (cell.orbit_of == orbit_of).all(), dims
+            assert cell.orbit_of.tolist() == orbit_of, dims
             assert cell.first_code == first_code, dims
         assert [c.name for c in cell.classes] == [
             c.name for c in slow._cells[dims].classes
@@ -512,7 +578,7 @@ def test_orbit_tables_match_depth_first_search(monkeypatch, quiver, bound, q):
     assert len(fast._indecs) == len(slow._indecs)
     for a, b in zip(fast._indecs, slow._indecs):
         assert (a.name, a.dims) == (b.name, b.dims)
-        assert all((x == y).all() for x, y in zip(a.rep.mats, b.rep.mats)), a.name
+        assert a.rep.mats == b.rep.mats, a.name
 
 
 def test_orbit_tables_hold_one_generator_at_a_time():
@@ -548,7 +614,7 @@ def _reps_with_base_change(draw):
     for s, t in quiver.arrows:
         size = dims[t] * dims[s]
         entries = draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
-        mats.append(np.array(entries, dtype=np.int64).reshape(dims[t], dims[s]))
+        mats.append([entries[i * dims[s] : (i + 1) * dims[s]] for i in range(dims[t])])
     return text, q, Rep(dims, tuple(mats)), draw(st.integers(0, 2**32))
 
 
