@@ -23,7 +23,6 @@ the test suite checks that they agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import prod
 from operator import mul
@@ -598,13 +597,16 @@ class DerivedContext:
         return out
 
     def hall_factors(self, A, B, I):
-        """Per position i, the map M -> H(M; I_i[1] + A_i, B_i + I_{i-1}[-1])
-        / |Aut(I_i)| as exact rationals (indices mod the period), for module
-        tuples A, B and connecting classes I; None if some fiber is empty.
+        """Per position i, the Hall factor of (A_i, B_i, I_i, I_{i-1}) as an
+        entry (counts, e, aut) (indices mod the period), for module tuples
+        A, B and connecting classes I; None if some fiber is empty.
 
-        Each position's map depends only on (A_i, B_i, I_i, I_{i-1}) and is
-        computed once per context; the returned dicts are the table's own
-        entries, so callers read them and must not mutate them.
+        An entry stands for M -> H(M; I_i[1] + A_i, B_i + I_{i-1}[-1])
+        / |Aut(I_i)| = counts[M] * q^-e / aut, with counts[M] the fiber
+        sizes (ints), e the Hall denominator exponent and aut = |Aut(I_i)|.
+        Each position's entry is computed once per context; the returned
+        entries are the table's own, so callers read them and must not
+        mutate them.
         """
         m = len(A)
         table = self._hall_table
@@ -621,10 +623,16 @@ class DerivedContext:
         return factors
 
     def connecting_terms(self, A, B):
-        """For module tuples A, B of one period (indices mod m), yield each
-        tuple I of connecting classes with nonempty fibers, with the pairs
-        (M, prod_i H(M_i; I_i[1] + A_i, B_i + I_{i-1}[-1]) / |Aut(I_i)|),
-        one per module tuple M; each algebra applies its own twist to them.
+        """For module tuples A, B of one period (indices mod m), yield
+        (I, e, aut, terms) for each tuple I of connecting classes with
+        nonempty fibers.  terms holds one pair (M, n) per module tuple M,
+        with n an int such that
+
+            prod_i H(M_i; I_i[1] + A_i, B_i + I_{i-1}[-1]) / |Aut(I_i)|
+                = n * q^-e / aut;
+
+        e and aut are the sum of the per-position exponents and the product
+        of the |Aut(I_i)|.  Each algebra applies its own twist to them.
 
         I is pruned by the necessary condition that I_i embeds into B_i and
         A_{i+1} surjects onto I_i, which only compares dimension vectors:
@@ -640,23 +648,23 @@ class DerivedContext:
             factors = self.hall_factors(A, B, I)
             if factors is None:
                 continue
+            counts, exps, auts = zip(*factors)
             terms = []
-            for choice in product(*(f.items() for f in factors)):
-                modules, coeffs = zip(*choice)
-                terms.append((modules, prod(coeffs)))
-            yield I, terms
+            for choice in product(*(c.items() for c in counts)):
+                modules, ns = zip(*choice)
+                terms.append((modules, prod(ns)))
+            yield I, sum(exps), prod(auts), terms
 
     def _hall_factor(self, a, b, i_cls, i_prev):
-        """M -> H(M; I[1] + A, B + I'[-1]) / |Aut(I)|, or None if the fiber
-        is empty (I' is the connecting class one position back)."""
+        """(counts, e, |Aut(I)|) with H(M; I[1] + A, B + I'[-1]) / |Aut(I)|
+        = counts[M] * q^-e / |Aut(I)|, or None if the fiber is empty (I' is
+        the connecting class one position back)."""
         X = self.graded({1: i_cls, 0: a})
         Y = self.graded({0: b, -1: i_prev})
         counts = self.module_fiber_counts(X, Y)
         if not counts:
             return None
-        weight = Fraction(self.q) ** (-self.hall_denominator_exponent(X, Y))
-        weight /= self.rep.aut_count(i_cls)
-        return {cls: c * weight for cls, c in counts.items()}
+        return counts, self.hall_denominator_exponent(X, Y), self.rep.aut_count(i_cls)
 
     def derived_hall_number(self, X: GradedObject, Y: GradedObject, L: GradedObject) -> Scalar:
         """|Ext^1(X,Y)_L| / (|Hom(X,Y)| * {X,Y}) as an exact scalar."""

@@ -9,7 +9,10 @@ The product carries the full twist
 
     v^{a0} * v^{inner(I, M)} * prod_i H(...)/|Aut(I_i)| * u_M * K(I + alpha + beta)
 
-with a0 and the inner exponent spelled out in `_basis_product`.  Sums of
+with a0 and the inner exponent spelled out in `_basis_product`.  The
+Hall-factor product arrives as an integer n * q^-e / aut (see
+`DerivedContext.connecting_terms`); q^-e = t^(-8e) joins the t-exponent, so
+each term is one scalar (n / aut) * t^k.  Sums of
 the shape "i = 1..m-1 over pairings" follow the single-term convention at
 m = 1 (the i = 1 term, indices mod m), which makes them cancel against
 their explicit boundary partners; alternating class sums over k = 1..m-1
@@ -19,6 +22,7 @@ are genuinely empty at m = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import combo
 from .errors import ParseError, UsageError
@@ -132,8 +136,9 @@ class ExtendedAlgebra(combo.Algebra):
             a0 += rep.sym_t_units(alphas[i % m], betas[(i - 1) % m])
         a0 -= rep.sym_t_units(alphas[m - 1], betas[0])
 
+        term = self.field.term
         out: dict = {}
-        for I, terms in self.derived.connecting_terms(A, B):
+        for I, e, aut, terms in self.derived.connecting_terms(A, B):
             dims_i = [cls.dims for cls in I]
             dbl_i = [tuple(2 * t for t in v) for v in dims_i]
 
@@ -152,24 +157,24 @@ class ExtendedAlgebra(combo.Algebra):
             for i in convention_range(m):
                 inner += 4 * rep.euler(dims_i[(i - 1) % m], dims_i[i % m])
             inner -= 4 * rep.euler(dims_i[0], dims_i[m - 1])
+            # q^-e = t^(-8e) joins the t-exponent
+            base = a0 + inner - 8 * e
 
             gammas = tuple(
                 tuple(d2 + p + q for d2, p, q in zip(dbl_i[i], alphas[i], betas[i]))
                 for i in range(m)
             )
+            # sum_i <M_i - M_{i+1}, I_i> = sum_i <M_i, I_i - I_{i-1}>
+            steps = [
+                [s - t for s, t in zip(dims_i[i], dims_i[i - 1])] for i in range(m)
+            ]
 
-            for modules, coeff in terms:
+            for modules, n in terms:
                 m_exp = 0
-                for i in range(m):
-                    diff = [
-                        s - t
-                        for s, t in zip(modules[i].dims, modules[(i + 1) % m].dims)
-                    ]
-                    m_exp += rep.euler(diff, dims_i[i])
-                scalar = self.field.v_power(a0 + inner + 4 * m_exp)
-                scalar = scalar * self.field.from_rational(coeff)
-                basis = ExtendedBasisElement(modules, gammas)
-                combo.add_term(out, basis, scalar)
+                for cls, step in zip(modules, steps):
+                    m_exp += rep.euler(cls.dims, step)
+                scalar = term(Fraction(n, aut), base + 4 * m_exp)
+                combo.add_term(out, ExtendedBasisElement(modules, gammas), scalar)
         return out
 
     # -- parsing ------------------------------------------------------------------

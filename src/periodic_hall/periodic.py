@@ -10,8 +10,8 @@ position:
                                         / |Aut(I_i)| * u_M
 
 where twist = sum_i < sum_k (-1)^k [A_{i+k}], [B_i] >.  The connecting
-classes and their terms come from `DerivedContext.connecting_terms`; only
-the twist is computed here.
+classes and their integer terms come from `DerivedContext.connecting_terms`;
+only the twist is computed here, and each output term becomes one scalar.
 
 Only odd m is accepted: without the extension by K-elements the even
 periodic multiplication is not defined.
@@ -20,6 +20,7 @@ periodic multiplication is not defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import combo
 from .derived import DerivedContext
@@ -89,17 +90,19 @@ class PeriodicAlgebra(combo.Algebra):
             alt = combo.alternating_sum(dims_a, i, range(m))
             twist += rep.euler(alt, dims_b[i])
 
+        # one rational per module tuple; the twist joins it once, at the end
         accum: dict = {}
-        for _, terms in self.derived.connecting_terms(a.classes, b.classes):
-            for modules, coeff in terms:
-                accum[modules] = accum.get(modules, 0) + coeff
+        for _, e, aut, terms in self.derived.connecting_terms(a.classes, b.classes):
+            weight = Fraction(self.field.q) ** -e / aut
+            for modules, n in terms:
+                accum[modules] = accum.get(modules, 0) + n * weight
 
-        vt = self.field.v_power(4 * twist)
-        out: dict = {}
-        for modules, coeff in accum.items():
-            if coeff:
-                out[PeriodicObject(modules)] = vt * self.field.from_rational(coeff)
-        return out
+        term = self.field.term
+        return {
+            PeriodicObject(modules): term(coeff, 4 * twist)
+            for modules, coeff in accum.items()
+            if coeff
+        }
 
     # -- parsing ------------------------------------------------------------------
 

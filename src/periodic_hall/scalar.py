@@ -8,7 +8,8 @@ monomial: v^(n/4) = t^n.  Since q is prime, t^8 - q is irreducible over Q
 Scalars are immutable.  Coefficients are stored sparsely as a map
 {degree: Fraction} with degrees in 0..7 and no zero values; products of
 basis elements only ever produce rational multiples of a single t-power,
-so the sparse form keeps the hot arithmetic path cheap.
+so the sparse form keeps the hot arithmetic path cheap, and
+`ScalarField.term` builds such a multiple directly.
 """
 
 from __future__ import annotations
@@ -68,6 +69,19 @@ class ScalarField:
         """t^n, i.e. v^(n/4).  Negative n uses t^(-1) = t^7/q."""
         k, r = divmod(n, _DEG)
         return Scalar(self, {r: Fraction(self.q) ** k})
+
+    def term(self, c, n: int) -> "Scalar":
+        """c * t^n for a rational c in one step: t^n = q^k t^r with n = 8k + r."""
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        if not c:
+            return self._zero
+        k, r = divmod(n, _DEG)
+        if k > 0:
+            c *= self.q**k
+        elif k < 0:
+            c /= self.q**-k
+        return Scalar(self, {r: c})
 
     def q_power(self, n: int) -> "Scalar":
         return self.from_rational(Fraction(self.q) ** n)

@@ -254,6 +254,16 @@ def untabulated_hall_factors(d, A, B, I):
     return factors
 
 
+def rational_hall_factors(q, entries):
+    """The rational view {M: count * q^-e / aut} of hall_factors entries."""
+    if entries is None:
+        return None
+    return [
+        {cls: c * Fraction(q) ** -e / aut for cls, c in counts.items()}
+        for counts, e, aut in entries
+    ]
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("m", [1, 3])
 def test_hall_factor_table_matches_fresh_context(q, m, monkeypatch):
@@ -279,7 +289,9 @@ def test_hall_factor_table_matches_fresh_context(q, m, monkeypatch):
     for A, B in pairs:
         for I in product(classes, repeat=m):
             got = d.hall_factors(A, B, I)
-            assert got == untabulated_hall_factors(fresh, A, B, I)
+            assert rational_hall_factors(d.q, got) == untabulated_hall_factors(
+                fresh, A, B, I
+            )
             seen_empty |= got is None
     assert seen_empty
     assert len(calls) == len(d._hall_table)
@@ -288,3 +300,45 @@ def test_hall_factor_table_matches_fresh_context(q, m, monkeypatch):
         for I in product(classes, repeat=m):
             d.hall_factors(A, B, I)
     assert len(calls) == filled
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_connecting_terms_match_rational_factors(m):
+    """Each (M, n) that connecting_terms yields for I satisfies
+    n * q^-e / aut = prod_i H_i(M_i), with the factors computed untabulated,
+    and the nonempty I are exactly those the untabulated factors allow."""
+    d = DerivedContext(RepContext(Quiver.parse("A2"), 3))
+    fresh = DerivedContext(d.rep)
+    q = d.q
+    classes = d.rep.iso_classes_upto((1, 1))
+    nonzero = [c for c in classes if not c.is_zero]
+    rng = random.Random(m)
+    pairs = [(tuple(nonzero[:1]) * m, tuple(nonzero[:1]) * m)] + [
+        (tuple(rng.choice(nonzero) for _ in range(m)), tuple(rng.choice(nonzero) for _ in range(m)))
+        for _ in range(6)
+    ]
+    seen_aut = set()
+    for A, B in pairs:
+        yielded = {}
+        for I, e, aut, terms in d.connecting_terms(A, B):
+            yielded[I] = terms
+            factors = untabulated_hall_factors(fresh, A, B, I)
+            assert factors is not None
+            assert [M for M, _ in terms] == list(product(*factors))
+            for M, n in terms:
+                assert isinstance(n, int)
+                want = 1
+                for i in range(m):
+                    want *= factors[i][M[i]]
+                assert n * Fraction(q) ** -e / aut == want
+            seen_aut.add(aut)
+        for I in product(classes, repeat=m):
+            unpruned = all(
+                x <= min(y, z)
+                for i, c in enumerate(I)
+                for x, y, z in zip(c.dims, B[i].dims, A[(i + 1) % m].dims)
+            )
+            if unpruned and I not in yielded:
+                assert untabulated_hall_factors(fresh, A, B, I) is None
+    # |Aut(S)| = q - 1 = 2 at q = 3: some aut is a product over positions
+    assert max(seen_aut) >= 2**m

@@ -5,13 +5,19 @@ import random
 import numpy as np
 import pytest
 
-from periodic_hall.embed import Embedding, check_identity_3_2, phi_exponent_t_units
+from periodic_hall.embed import (
+    Embedding,
+    PhiImage,
+    check_identity_3_2,
+    phi_exponent_t_units,
+)
 from periodic_hall.errors import EvenPeriodError, UsageError
 from periodic_hall.extended import ExtendedAlgebra
 from periodic_hall.periodic import PeriodicAlgebra
 from periodic_hall.suites import (
     embedding_sweep,
     injectivity_sweep,
+    periodic_basis_elements,
     sample_module_tuple,
 )
 
@@ -193,7 +199,7 @@ def test_report_shape_on_failure_path(a2_q2):
     Z = ctx.zero_class
     lhs = E.monomial(E.basis([ctx.class_by_name("S1"), Z, Z]))
     rhs = E.monomial(E.basis([ctx.class_by_name("S2"), Z, Z]))
-    diff = Embedding._first_diff(lhs, rhs)
+    diff = Embedding._first_diff(lhs.terms, rhs.terms, emb.field)
     assert set(diff) == {"basis", "lhs", "rhs"}
 
 
@@ -207,3 +213,61 @@ def test_phi_images_are_cached(a2_q2, m):
         image = emb.phi_basis(b)
         assert emb.phi_basis(b) is image
         assert make_embedding(a2_q2, m).phi_basis(b) == image
+
+
+@pytest.mark.parametrize("wrong", ["operand", "product term"])
+def test_wrong_phi_is_caught(a2_q2, monkeypatch, wrong):
+    """A phi image off by a factor v fails the check, with a readable diff."""
+    emb = make_embedding(a2_q2, 3)
+    P = emb.periodic
+    ctx = emb.rep
+    Z = ctx.zero_class
+    a = P.basis([ctx.class_by_name("S1"), Z, Z])
+    b = P.basis([ctx.class_by_name("S2"), Z, Z])
+    assert emb.verify_homomorphism(a, b)["equal"]
+    if wrong == "operand":
+        target = a
+    else:
+        # u_{S1@0} u_{S2@0} has the terms [P1@0] and [S1+S2@0]
+        target = P.basis([ctx.class_by_name("P1"), Z, Z])
+        assert target in P.basis_product(a, b)
+    original = emb.phi_basis
+    v = emb.field.v_power(4)
+
+    def off_by_v(basis):
+        image = original(basis)
+        if basis == target:
+            return PhiImage(image.scalar * v, image.basis)
+        return image
+
+    monkeypatch.setattr(emb, "phi_basis", off_by_v)
+    report = emb.verify_homomorphism(a, b)
+    assert report["equal"] is False
+    assert report["pair"] == [str(a), str(b)]
+    diff = report["first_diff"]
+    assert set(diff) == {"basis", "lhs", "rhs"}
+    assert isinstance(diff["basis"], str)
+    for side in ("lhs", "rhs"):
+        assert len(diff[side]) == 8
+        assert all(isinstance(x, str) for x in diff[side])
+    assert diff["lhs"] != diff["rhs"]
+
+
+def test_basis_check_matches_element_oracle(a2_q2):
+    """The basis-level check agrees with phi(a b) and phi(a) phi(b) built
+    from monomial elements through Algebra.multiply."""
+    emb = make_embedding(a2_q2, 3)
+    P, E = emb.periodic, emb.extended
+    elements = periodic_basis_elements(P, (1, 1))
+    for a in elements:
+        for b in elements:
+            lhs = emb.phi(P.multiply(P.monomial(a), P.monomial(b)))
+            image_a, image_b = emb.phi_basis(a), emb.phi_basis(b)
+            rhs = (image_a.scalar * image_b.scalar) * E.multiply(
+                E.monomial(image_a.basis), E.monomial(image_b.basis)
+            )
+            assert lhs == rhs, (a, b)
+            report = emb.verify_homomorphism(a, b)
+            assert report["equal"]
+            assert report["lhs_terms"] == len(lhs.terms)
+            assert report["rhs_terms"] == len(rhs.terms)

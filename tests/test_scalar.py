@@ -145,3 +145,16 @@ def test_monomial_product_matches_general_path(q):
             other = (j + 1 + rng.randrange(7)) % 8
             w = f.scalar({other: c})
             assert x * f.scalar({j: b, other: c}) == x * y + x * w
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_term_matches_power_times_rational(q):
+    f = ScalarField(q)
+    for c in (0, 1, Fraction(-3, 7), q):
+        for n in range(-20, 21):
+            got = f.term(c, n)
+            assert got == f.v_power(n) * f.from_rational(c)
+            assert got.to_strings() == (f.v_power(n) * f.from_rational(c)).to_strings()
+    for n in range(-20, 21):
+        assert f.term(0, n).is_zero()
+        assert f.term(Fraction(0), n) == f.zero
