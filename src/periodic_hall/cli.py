@@ -8,11 +8,15 @@ Subcommands:
 Shared flags may appear after the subcommand: --quiver, --q, --m, --seed,
 --format text|json, --cap-dim, --cap-cell, --count-mode, --config FILE.
 The config file holds `key = value` lines mirroring the flags; explicit
-flags win.
+flags win.  Each shared option is declared once, in `_OPTIONS`, with its
+type, default, help text and allowed values or least value; the flags,
+the config reader, the range checks and the merge in `Settings` all read
+that table.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
 3 even period where odd is required, 4 resource cap exceeded,
-5 internal invariant violated.
+5 internal invariant violated.  `_EXIT_CODES` maps each error class to
+its code.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import argparse
 import json
 import random
 import sys
+from typing import NamedTuple
 
 from .derived import DerivedContext
 from .embed import Embedding
@@ -37,33 +42,45 @@ from .periodic import PeriodicAlgebra
 from .repcat import Quiver, RepContext
 from . import suites
 
-_CONFIG_KEYS = {
-    "quiver": str,
-    "q": int,
-    "m": int,
-    "format": str,
-    "seed": int,
-    "cap-dim": int,
-    "cap-cell": int,
-    "count-mode": str,
+
+class _Option(NamedTuple):
+    """A shared flag, which is also a config key."""
+
+    type: type
+    default: object
+    help: str
+    limit: object = None  # a tuple of allowed values, or the least int value
+
+
+_OPTIONS = {
+    "quiver": _Option(str, "A2", "preset A1/A2/A3/... or 'n; s->t, ...'"),
+    "q": _Option(int, 2, "prime field size"),
+    "m": _Option(int, 3, "period"),
+    "format": _Option(str, "text", "output format", ("text", "json")),
+    "seed": _Option(int, 0, "seed for randomized sweeps"),
+    "cap-dim": _Option(int, 14, "chain-map space dimension cap", 0),
+    "cap-cell": _Option(int, 2_000_000, "per-cell representation cap", 1),
+    "count-mode": _Option(
+        str, "quotient", "fiber counting strategy", ("quotient", "total")
+    ),
 }
-# keys whose values are one of a fixed set, as flags and in config files
-_CHOICES = {
-    "format": ("text", "json"),
-    "count-mode": ("quotient", "total"),
-}
-# keys with a least allowed value, as flags and in config files
-_MINIMUM = {"cap-dim": 0, "cap-cell": 1}
+
+# most specific class first: (class, exit code, message prefix)
+_EXIT_CODES = (
+    (EvenPeriodError, 3, ""),
+    (ResourceLimitError, 4, ""),
+    (InvariantError, 5, "internal invariant violated: "),
+    (HallError, 2, ""),  # parse and usage errors
+)
 
 
 def _bad_value(key: str, value):
     """Why a flag or config value is out of range, or None if it is not."""
-    choices = _CHOICES.get(key)
-    if choices is not None and value not in choices:
-        return f"{key} must be one of {', '.join(choices)}, got {value!r}"
-    least = _MINIMUM.get(key)
-    if least is not None and value < least:
-        return f"{key} must be at least {least}, got {value}"
+    limit = _OPTIONS[key].limit
+    if isinstance(limit, tuple) and value not in limit:
+        return f"{key} must be one of {', '.join(limit)}, got {value!r}"
+    if isinstance(limit, int) and value < limit:
+        return f"{key} must be at least {limit}, got {value}"
     return None
 
 
@@ -79,10 +96,10 @@ def _read_config(path: str) -> dict:
                     raise ParseError(f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in _OPTIONS:
                     raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    values[key] = _CONFIG_KEYS[key](value.strip())
+                    values[key] = _OPTIONS[key].type(value.strip())
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: bad value: {exc}") from exc
                 problem = _bad_value(key, values[key])
@@ -95,57 +112,31 @@ def _read_config(path: str) -> dict:
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value file with the flags below")
-    parser.add_argument("--quiver", help="preset A1/A2/A3/... or 'n; s->t, ...'")
-    parser.add_argument("--q", type=int, help="prime field size")
-    parser.add_argument("--m", type=int, help="period")
-    parser.add_argument("--format", choices=_CHOICES["format"], help="output format")
-    parser.add_argument("--seed", type=int, help="seed for randomized sweeps")
-    parser.add_argument("--cap-dim", type=int, help="chain-map space dimension cap")
-    parser.add_argument("--cap-cell", type=int, help="per-cell representation cap")
-    parser.add_argument(
-        "--count-mode",
-        choices=_CHOICES["count-mode"],
-        help="fiber counting strategy",
-    )
+    for key, opt in _OPTIONS.items():
+        limit = opt.limit if isinstance(opt.limit, tuple) else None
+        parser.add_argument(f"--{key}", type=opt.type, choices=limit, help=opt.help)
 
 
 class Settings:
     """Merged configuration: defaults, then config file, then flags."""
 
-    DEFAULTS = {
-        "quiver": "A2",
-        "q": 2,
-        "m": 3,
-        "format": "text",
-        "seed": 0,
-        "cap-dim": 14,
-        "cap-cell": 2_000_000,
-        "count-mode": "quotient",
-    }
-
     def __init__(self, args: argparse.Namespace):
-        merged = dict(self.DEFAULTS)
+        merged = {key: opt.default for key, opt in _OPTIONS.items()}
         if args.config:
             merged.update(_read_config(args.config))
-        for key in _CONFIG_KEYS:
+        for key in _OPTIONS:
             flag = getattr(args, key.replace("-", "_"), None)
             if flag is not None:
                 problem = _bad_value(key, flag)
                 if problem:
                     raise UsageError(f"--{problem}")
                 merged[key] = flag
-        self.quiver_text = merged["quiver"]
-        self.q = merged["q"]
-        self.m = merged["m"]
-        self.format = merged["format"]
-        self.seed = merged["seed"]
-        self.cap_dim = merged["cap-dim"]
-        self.cap_cell = merged["cap-cell"]
-        self.count_mode = merged["count-mode"]
+        for key, value in merged.items():
+            setattr(self, key.replace("-", "_"), value)
 
     def rep_context(self) -> RepContext:
         return RepContext(
-            Quiver.parse(self.quiver_text), self.q, max_cell_reps=self.cap_cell
+            Quiver.parse(self.quiver), self.q, max_cell_reps=self.cap_cell
         )
 
     def derived_context(self) -> DerivedContext:
@@ -389,24 +380,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EvenPeriodError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InvariantError as exc:
-        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
-        return 5
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HallError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        for cls, code, prefix in _EXIT_CODES:
+            if isinstance(exc, cls):
+                print(f"error: {prefix}{exc}", file=sys.stderr)
+                return code
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 from . import literal
 from .errors import UsageError
 from .repcat import IsoClass
+from .scalar import join_signed
 
 
 def add_term(acc: dict, basis, scalar) -> None:
@@ -53,13 +54,7 @@ def format_terms(pairs) -> str:
         else:
             chunk = f"{text}*{basis}"
         chunks.append(chunk)
-    out = chunks[0]
-    for chunk in chunks[1:]:
-        if chunk.startswith("-"):
-            out += " - " + chunk[1:]
-        else:
-            out += " + " + chunk
-    return out
+    return join_signed(chunks)
 
 
 class Element:

@@ -8,8 +8,13 @@ monomial: v^(n/4) = t^n.  Since q is prime, t^8 - q is irreducible over Q
 Scalars are immutable.  Coefficients are stored sparsely as a map
 {degree: Fraction} with degrees in 0..7 and no zero values; products of
 basis elements only ever produce rational multiples of a single t-power,
-so the sparse form keeps the hot arithmetic path cheap, and
-`ScalarField.term` builds such a multiple directly.
+so the sparse form keeps the hot arithmetic path cheap.  Every builder of
+such a multiple (`from_rational`, `v_power`, `q_power`) goes through
+`ScalarField.term`, which builds c * t^n in one step.
+
+The field is a tower of three quadratic (Kummer) steps,
+Q(t) > Q(t^2) > Q(t^4) > Q, and `Scalar.inverse` walks down it in closed
+form: three products with a conjugate reach a rational.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import ParseError, UsageError
+from .errors import InvariantError, ParseError, UsageError
 from .literal import parse_scalar  # noqa: F401 (public name of this module too)
 
 _DEG = 8  # t^8 = q
@@ -62,13 +67,11 @@ class ScalarField:
         return self._one
 
     def from_rational(self, value) -> "Scalar":
-        c = Fraction(value)
-        return Scalar(self, {0: c} if c else {})
+        return self.term(value, 0)
 
     def v_power(self, n: int) -> "Scalar":
-        """t^n, i.e. v^(n/4).  Negative n uses t^(-1) = t^7/q."""
-        k, r = divmod(n, _DEG)
-        return Scalar(self, {r: Fraction(self.q) ** k})
+        """t^n, i.e. v^(n/4)."""
+        return self.term(1, n)
 
     def term(self, c, n: int) -> "Scalar":
         """c * t^n for a rational c in one step: t^n = q^k t^r with n = 8k + r."""
@@ -84,7 +87,7 @@ class ScalarField:
         return Scalar(self, {r: c})
 
     def q_power(self, n: int) -> "Scalar":
-        return self.from_rational(Fraction(self.q) ** n)
+        return self.term(1, _DEG * n)
 
     def scalar(self, coeffs) -> "Scalar":
         """Build from a dense 8-sequence or a {degree: rational} map."""
@@ -187,30 +190,22 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        """Field inverse via extended Euclid in Q[t] against t^8 - q."""
+        """Field inverse down the Kummer tower Q(t) > Q(t^2) > Q(t^4) > Q.
+
+        At step s in (1, 2, 4), t^s -> -t^s is an automorphism of the step
+        fixing the field below, so x * conj(x) lies one step down; after
+        three steps it is a rational r, and x^-1 = (product of conjugates) / r.
+        """
         if not self._c:
             raise ZeroDivisionError("cannot invert the zero scalar")
-        if len(self._c) == 1:
-            # monomial fast path: (c t^j)^-1 = c^-1 q^-1 t^(8-j) for j > 0
-            ((j, c),) = self._c.items()
-            if j == 0:
-                return Scalar(self.field, {0: 1 / c})
-            return Scalar(self.field, {_DEG - j: 1 / (c * self.field.q)})
-        mod = [Fraction(-self.field.q)] + [Fraction(0)] * (_DEG - 1) + [Fraction(1)]
-        a = [Fraction(0)] * _DEG
-        for j, c in self._c.items():
-            a[j] = c
-        # invariants: r0 = s0 * self (mod t^8 - q), r1 = s1 * self (mod ...)
-        r0, s0 = mod, [Fraction(0)]
-        r1, s1 = list(a), [Fraction(1)]
-        while any(r1):
-            quo, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(quo, s1))
-        # r0 is now a nonzero constant gcd (t^8 - q is irreducible)
-        lead = next(c for c in r0 if c)
-        inv_coeffs = _poly_mod_reduce([c / lead for c in s0], self.field.q)
-        return self.field.scalar({j: c for j, c in enumerate(inv_coeffs) if c})
+        x, cofactor = self, self.field.one
+        for s in (1, 2, 4):
+            conj = Scalar(
+                self.field, {j: -c if j // s % 2 else c for j, c in x._c.items()}
+            )
+            x, cofactor = x * conj, cofactor * conj
+        r = x._c[0]
+        return Scalar(self.field, {j: c / r for j, c in cofactor._c.items()})
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -271,6 +266,8 @@ class Scalar:
         ((j, c),) = self._c.items()
         q = self.field.q
         num, den = c.numerator, c.denominator
+        if not num:
+            raise InvariantError(f"zero coefficient stored at degree {j}")
         e = j
         while num % q == 0:
             num //= q
@@ -287,18 +284,18 @@ class Scalar:
         mono = self.as_monomial()
         if mono is not None:
             return _format_monomial(*mono)
-        parts = []
-        for j in sorted(self._c):
-            term = _format_monomial(self._c[j], j)
-            if parts and not term.startswith("-"):
-                parts.append("+ " + term)
-            elif parts:
-                parts.append("- " + term[1:])
-            else:
-                parts.append(term)
-        return "(" + " ".join(parts) + ")"
+        chunks = [_format_monomial(self._c[j], j) for j in sorted(self._c)]
+        return "(" + join_signed(chunks) + ")"
 
     __repr__ = __str__
+
+
+def join_signed(chunks: list) -> str:
+    """Join printed terms as 'a + b - c': a leading '-' becomes the operator."""
+    out = chunks[0]
+    for chunk in chunks[1:]:
+        out += " - " + chunk[1:] if chunk.startswith("-") else " + " + chunk
+    return out
 
 
 def _format_monomial(c: Fraction, e: int) -> str:
@@ -316,43 +313,3 @@ def _format_monomial(c: Fraction, e: int) -> str:
     if c == -1:
         return "-" + base
     return f"{c}*{base}"
-
-
-# -- dense polynomial helpers over Q (used only by inverse) ---------------
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = max(i for i, c in enumerate(b) if c)
-    quo = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            f = a[i] / b[db]
-            quo[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    return quo, a
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)
-    ]
-
-
-def _poly_mod_reduce(a, q):
-    out = [Fraction(0)] * _DEG
-    for i, c in enumerate(a):
-        k, r = divmod(i, _DEG)
-        out[r] += c * Fraction(q) ** k
-    return out

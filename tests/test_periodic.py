@@ -206,22 +206,34 @@ def test_parse_and_print_roundtrip(a2_q2):
         P.parse_element("S1@0")
 
 
-@pytest.mark.parametrize("q", [2, 3])
+# the A2 cases keep their ids, which are m-q
+@pytest.mark.parametrize(
+    "quiver, q",
+    [("A2", 2), ("A2", 3), ("A3", 2), ("A3", 3)],
+    ids=["2", "3", "A3-2", "A3-3"],
+)
 @pytest.mark.parametrize("m", [1, 3, 5])
-def test_quantum_serre_relation(dctx_factory, q, m):
+def test_quantum_serre_relation(dctx_factory, quiver, q, m):
     """u_i^2 u_j - (v + v^-1) u_i u_j u_i + u_j u_i^2 = 0 for the degree-0
-    stalks of the simples S1, S2 of A2 (Ringel 1990); it needs m >= 3 and
-    fails at m = 1."""
-    P = algebra(dctx_factory("A2", q), m)
+    stalks of simples S_i, S_j joined by an arrow (Ringel 1990); it needs
+    m >= 3 and fails at m = 1.  Stalks of simples with no arrow between
+    them commute at every m."""
+    P = algebra(dctx_factory(quiver, q), m)
     ctx = P.rep
     Z = ctx.zero_class
     f = P.field
 
-    def stalk(name):
-        return P.monomial(P.basis([ctx.class_by_name(name)] + [Z] * (m - 1)))
+    def stalk(k):
+        return P.monomial(P.basis([ctx.class_by_name(f"S{k}")] + [Z] * (m - 1)))
 
     v_sum = f.v_power(4) + f.v_power(-4)
-    for i, j in (("S1", "S2"), ("S2", "S1")):
-        ui, uj = stalk(i), stalk(j)
-        relation = ui * ui * uj - v_sum * (ui * uj * ui) + uj * ui * ui
-        assert relation.is_zero() == (m >= 3), (i, j, str(relation))
+    n = ctx.quiver.n
+    for k in range(1, n):
+        for i, j in ((k, k + 1), (k + 1, k)):
+            ui, uj = stalk(i), stalk(j)
+            relation = ui * ui * uj - v_sum * (ui * uj * ui) + uj * ui * ui
+            assert relation.is_zero() == (m >= 3), (i, j, str(relation))
+    for i in range(1, n + 1):
+        for j in range(i + 2, n + 1):
+            ui, uj = stalk(i), stalk(j)
+            assert ui * uj == uj * ui, (i, j)

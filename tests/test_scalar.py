@@ -1,11 +1,17 @@
 """Field arithmetic in Q[t]/(t^8 - q)."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import periodic_hall
 from periodic_hall.errors import ParseError, UsageError
 from periodic_hall.scalar import ScalarField, parse_scalar
 
@@ -70,6 +76,29 @@ def test_invert_t():
     assert t.inverse() == f.scalar({7: Fraction(1, 7)})
 
 
+_coeffs = st.dictionaries(
+    st.integers(0, 7),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from((2, 3, 5, 7, 11)), _coeffs, _coeffs)
+def test_inverse_and_division(q, a_coeffs, b_coeffs):
+    f = ScalarField(q)
+    a, b = f.scalar(a_coeffs), f.scalar(b_coeffs)
+    for x in (a, b):
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        else:
+            assert x * x.inverse() == f.one
+            assert 1 / x == x.inverse()
+    if not b.is_zero():
+        assert (a / b) * b == a
+
+
 def test_eval_real():
     f = ScalarField(2)
     assert f.one.eval_real() == 1.0
@@ -108,6 +137,22 @@ def test_pretty_printing():
     assert str(f.zero) == "0"
     # q-powers fold into the t-exponent: (1/2) t^4 is t^-4 = v^-1
     assert str(f.scalar({4: Fraction(1, 2)})) == "v^-1"
+
+
+def test_zero_coefficient_fails_to_print_without_hanging():
+    # builders drop zeros; the raw constructor can still store one
+    src = os.path.dirname(os.path.dirname(periodic_hall.__file__))
+    code = (
+        "from fractions import Fraction\n"
+        "from periodic_hall.scalar import Scalar, ScalarField\n"
+        "str(Scalar(ScalarField(2), {3: Fraction(0)}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "InvariantError: zero coefficient stored at degree 3" in proc.stderr
 
 
 def test_parse_scalar_roundtrip():
