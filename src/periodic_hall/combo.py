@@ -7,6 +7,10 @@ the reading of element and basis literals through `literal`.  Each
 subclass supplies `basis`, `basis_product` (its own product twist) and
 `_literal_basis`, which turns the parsed pieces of a basis literal into
 its basis element.
+
+Each algebra caches its basis products.  The cache holds at most
+`PRODUCT_CACHE_SIZE` entries and evicts the oldest first, so a long
+verification sweep, which visits each pair once, keeps its memory bounded.
 """
 
 from __future__ import annotations
@@ -15,6 +19,10 @@ from . import literal
 from .errors import UsageError
 from .repcat import IsoClass
 from .scalar import join_signed
+
+# Basis products an algebra keeps; more than twice the pairs of the
+# largest benchmark sub-sweep, so a warm pass never evicts.
+PRODUCT_CACHE_SIZE = 8192
 
 
 def add_term(acc: dict, basis, scalar) -> None:
@@ -171,6 +179,14 @@ class Algebra:
         return classes
 
     # -- multiplication ---------------------------------------------------------
+
+    def _remember_product(self, key, product: dict) -> dict:
+        """Store a basis product, first evicting the oldest if the cache is full."""
+        cache = self._product_cache
+        if len(cache) >= PRODUCT_CACHE_SIZE:
+            del cache[next(iter(cache))]
+        cache[key] = product
+        return product
 
     def multiply(self, x: Element, y: Element) -> Element:
         self._check_element(x)

@@ -409,6 +409,7 @@ class DerivedContext:
         self._res_cache: dict = {}
         self._fiber_cache: dict = {}
         self._hall_table: dict = {}  # class keys of (A_i, B_i, I_i, I_{i-1})
+        self._connecting_memo = None  # (A, B, connecting_terms(A, B))
 
     # -- graded objects -----------------------------------------------------
 
@@ -622,11 +623,11 @@ class DerivedContext:
             factors.append(factor)
         return factors
 
-    def connecting_terms(self, A, B):
-        """For module tuples A, B of one period (indices mod m), yield
-        (I, e, aut, terms) for each tuple I of connecting classes with
-        nonempty fibers.  terms holds one pair (M, n) per module tuple M,
-        with n an int such that
+    def connecting_terms(self, A, B) -> list:
+        """For module tuples A, B of one period (indices mod m), the list of
+        (I, e, aut, terms), one entry for each tuple I of connecting classes
+        with nonempty fibers.  terms holds one pair (M, n) per module tuple
+        M, with n an int such that
 
             prod_i H(M_i; I_i[1] + A_i, B_i + I_{i-1}[-1]) / |Aut(I_i)|
                 = n * q^-e / aut;
@@ -638,12 +639,21 @@ class DerivedContext:
         A_{i+1} surjects onto I_i, which only compares dimension vectors:
         dim I_i <= min(B_i, A_{i+1}).  Pruned terms vanish (the tests
         spot-check this against the unpruned counter).
+
+        The result for the last (A, B) is kept in a one-slot memo: phi keeps
+        module tuples, so the extended product of phi(a), phi(b) reuses the
+        pass of the periodic product of a, b.  Callers read the list and its
+        entries and must not mutate them.
         """
+        memo = self._connecting_memo
+        if memo is not None and memo[0] == A and memo[1] == B:
+            return memo[2]
         m = len(A)
         candidates = [
             self.rep.iso_classes_upto(tuple(map(min, B[i].dims, A[(i + 1) % m].dims)))
             for i in range(m)
         ]
+        out = []
         for I in product(*candidates):
             factors = self.hall_factors(A, B, I)
             if factors is None:
@@ -653,7 +663,9 @@ class DerivedContext:
             for choice in product(*(c.items() for c in counts)):
                 modules, ns = zip(*choice)
                 terms.append((modules, prod(ns)))
-            yield I, sum(exps), prod(auts), terms
+            out.append((I, sum(exps), prod(auts), terms))
+        self._connecting_memo = (A, B, out)
+        return out
 
     def _hall_factor(self, a, b, i_cls, i_prev):
         """(counts, e, |Aut(I)|) with H(M; I[1] + A, B + I'[-1]) / |Aut(I)|

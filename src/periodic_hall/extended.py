@@ -11,18 +11,27 @@ The product carries the full twist
 
 with a0 and the inner exponent spelled out in `_basis_product`.  The
 Hall-factor product arrives as an integer n * q^-e / aut (see
-`DerivedContext.connecting_terms`); q^-e = t^(-8e) joins the t-exponent, so
-each term is one scalar (n / aut) * t^k.  Sums of
-the shape "i = 1..m-1 over pairings" follow the single-term convention at
-m = 1 (the i = 1 term, indices mod m), which makes them cancel against
-their explicit boundary partners; alternating class sums over k = 1..m-1
-are genuinely empty at m = 1.
+`DerivedContext.connecting_terms`); q^-e = t^(-8e) joins the t-exponent k,
+and with k = 8j + r each term is one scalar (n * q^j / aut) * t^r.
+
+What depends on the connecting tuple I alone (its doubled dimension
+vectors, the I-I part of the inner exponent and the step functionals that
+pair each output class with I_i - I_{i-1}) is tabulated once per algebra.
+The pairings of I with alpha + beta are linear in I, so each pair turns
+them into one functional per position (`Quiver.euler_left` and
+`euler_right`), and a term costs m dot products.
+
+Sums of the shape "i = 1..m-1 over pairings" follow the single-term
+convention at m = 1 (the i = 1 term, indices mod m), which makes them
+cancel against their explicit boundary partners; alternating class sums
+over k = 1..m-1 are genuinely empty at m = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import combo
 from .errors import ParseError, UsageError
@@ -72,6 +81,10 @@ class ExtendedBasisElement:
 class ExtendedAlgebra(combo.Algebra):
     """DH^e_m over a fixed quiver and prime; accepts every period m >= 1."""
 
+    def __init__(self, derived, m: int):
+        super().__init__(derived, m)
+        self._tuple_table: dict = {}  # connecting tuple I -> _tuple_data(I)
+
     # -- builders ---------------------------------------------------------
 
     def _zero_alpha(self) -> tuple:
@@ -113,13 +126,31 @@ class ExtendedAlgebra(combo.Algebra):
         key = (a, b)
         cached = self._product_cache.get(key)
         if cached is None:
-            cached = self._basis_product(a, b)
-            self._product_cache[key] = cached
+            cached = self._remember_product(key, self._basis_product(a, b))
         return cached
+
+    def _tuple_data(self, I) -> tuple:
+        """(doubled dims, I-I part of the inner exponent, step functionals)
+        of a connecting tuple I; the functional at i is r(I_i - I_{i-1}),
+        so that <M_i, I_i - I_{i-1}> = M_i . r(I_i - I_{i-1})."""
+        m = self.m
+        quiver = self.rep.quiver
+        dims = [cls.dims for cls in I]
+        dbl = [tuple(2 * t for t in v) for v in dims]
+        inner = 0
+        for i in convention_range(m):
+            inner += 4 * quiver.euler(dims[(i - 1) % m], dims[i % m])
+        inner -= 4 * quiver.euler(dims[0], dims[m - 1])
+        steps = [
+            quiver.euler_right([s - t for s, t in zip(dims[i], dims[i - 1])])
+            for i in range(m)
+        ]
+        return dbl, inner, steps
 
     def _basis_product(self, x: ExtendedBasisElement, y: ExtendedBasisElement) -> dict:
         m = self.m
         rep = self.rep
+        quiver = rep.quiver
         A, alphas = x.classes, x.alphas
         B, betas = y.classes, y.alphas
         dims_a = [cls.dims for cls in A]
@@ -136,45 +167,44 @@ class ExtendedAlgebra(combo.Algebra):
             a0 += rep.sym_t_units(alphas[i % m], betas[(i - 1) % m])
         a0 -= rep.sym_t_units(alphas[m - 1], betas[0])
 
+        # the I-to-(alpha+beta) coupling must use the symmetric form: with
+        # the plain Euler pairing the algebra fails associativity.  It is
+        # sum_i (dbl I_i) . couple[i], where (d, ab) = d . (l(ab) + r(ab))
+        ab = [tuple(map(sum, zip(alpha, beta))) for alpha, beta in zip(alphas, betas)]
+        sym = [
+            [s + t for s, t in zip(quiver.euler_left(v), quiver.euler_right(v))]
+            for v in ab
+        ]
+        couple = [[0] * quiver.n for _ in range(m)]
+        couple[m - 1] = [-s for s in sym[0]]
+        for i in convention_range(m):
+            couple[i % m] = [c + s for c, s in zip(couple[i % m], sym[(i - 1) % m])]
+
+        q = self.field.q
         term = self.field.term
+        table = self._tuple_table
         out: dict = {}
         for I, e, aut, terms in self.derived.connecting_terms(A, B):
-            dims_i = [cls.dims for cls in I]
-            dbl_i = [tuple(2 * t for t in v) for v in dims_i]
-
-            # the I-to-(alpha+beta) coupling must use the symmetric form:
-            # with the plain Euler pairing the algebra fails associativity
-            inner = -rep.sym_t_units(
-                dbl_i[m - 1],
-                tuple(p + q for p, q in zip(alphas[0], betas[0])),
-            )
-            for i in convention_range(m):
-                ab = tuple(
-                    p + q
-                    for p, q in zip(alphas[(i - 1) % m], betas[(i - 1) % m])
-                )
-                inner += rep.sym_t_units(dbl_i[i % m], ab)
-            for i in convention_range(m):
-                inner += 4 * rep.euler(dims_i[(i - 1) % m], dims_i[i % m])
-            inner -= 4 * rep.euler(dims_i[0], dims_i[m - 1])
+            data = table.get(I)
+            if data is None:
+                data = table[I] = self._tuple_data(I)
+            dbl, inner, steps = data
+            for d2, c in zip(dbl, couple):
+                inner += sum(map(mul, d2, c))
             # q^-e = t^(-8e) joins the t-exponent
             base = a0 + inner - 8 * e
 
             gammas = tuple(
-                tuple(d2 + p + q for d2, p, q in zip(dbl_i[i], alphas[i], betas[i]))
-                for i in range(m)
+                tuple(d2 + s for d2, s in zip(dbl[i], ab[i])) for i in range(m)
             )
             # sum_i <M_i - M_{i+1}, I_i> = sum_i <M_i, I_i - I_{i-1}>
-            steps = [
-                [s - t for s, t in zip(dims_i[i], dims_i[i - 1])] for i in range(m)
-            ]
-
             for modules, n in terms:
                 m_exp = 0
                 for cls, step in zip(modules, steps):
-                    m_exp += rep.euler(cls.dims, step)
-                scalar = term(Fraction(n, aut), base + 4 * m_exp)
-                combo.add_term(out, ExtendedBasisElement(modules, gammas), scalar)
+                    m_exp += sum(map(mul, cls.dims, step))
+                k, r = divmod(base + 4 * m_exp, 8)
+                c = Fraction(n * q**k, aut) if k >= 0 else Fraction(n, aut * q**-k)
+                combo.add_term(out, ExtendedBasisElement(modules, gammas), term(c, r))
         return out
 
     # -- parsing ------------------------------------------------------------------

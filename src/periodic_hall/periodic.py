@@ -10,8 +10,11 @@ position:
                                         / |Aut(I_i)| * u_M
 
 where twist = sum_i < sum_k (-1)^k [A_{i+k}], [B_i] >.  The connecting
-classes and their integer terms come from `DerivedContext.connecting_terms`;
-only the twist is computed here, and each output term becomes one scalar.
+classes and their integer terms n * q^-e / aut come from
+`DerivedContext.connecting_terms`; only the twist is computed here.  The
+coefficient of each output tuple M is summed in integers over one common
+denominator q^e_max * lcm(aut), as sum n * q^(e_max - e) * (lcm(aut) / aut),
+and becomes one rational and one scalar.
 
 Only odd m is accepted: without the extension by K-elements the even
 periodic multiplication is not defined.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import combo
 from .derived import DerivedContext
@@ -75,8 +79,7 @@ class PeriodicAlgebra(combo.Algebra):
         key = (a.classes, b.classes)
         cached = self._product_cache.get(key)
         if cached is None:
-            cached = self._compute_basis_product(a, b)
-            self._product_cache[key] = cached
+            cached = self._remember_product(key, self._compute_basis_product(a, b))
         return cached
 
     def _compute_basis_product(self, a: PeriodicObject, b: PeriodicObject) -> dict:
@@ -90,18 +93,31 @@ class PeriodicAlgebra(combo.Algebra):
             alt = combo.alternating_sum(dims_a, i, range(m))
             twist += rep.euler(alt, dims_b[i])
 
-        # one rational per module tuple; the twist joins it once, at the end
+        # integer numerators over the common denominator q^e_max * lcm(aut)
+        connecting = self.derived.connecting_terms(a.classes, b.classes)
+        if not connecting:
+            return {}
+        q = self.field.q
+        e_max = max(e for _, e, _, _ in connecting)
+        den = lcm(*(aut for _, _, aut, _ in connecting))
         accum: dict = {}
-        for _, e, aut, terms in self.derived.connecting_terms(a.classes, b.classes):
-            weight = Fraction(self.field.q) ** -e / aut
+        for _, e, aut, terms in connecting:
+            weight = q ** (e_max - e) * (den // aut)
             for modules, n in terms:
                 accum[modules] = accum.get(modules, 0) + n * weight
 
+        # v^twist * q^-e_max = t^(4 twist - 8 e_max) = q^k t^r: one rational
+        # and one scalar per output tuple
+        k, r = divmod(4 * twist - 8 * e_max, 8)
+        if k >= 0:
+            scale = q**k
+        else:
+            scale, den = 1, den * q**-k
         term = self.field.term
         return {
-            PeriodicObject(modules): term(coeff, 4 * twist)
-            for modules, coeff in accum.items()
-            if coeff
+            PeriodicObject(modules): term(Fraction(num * scale, den), r)
+            for modules, num in accum.items()
+            if num
         }
 
     # -- parsing ------------------------------------------------------------------

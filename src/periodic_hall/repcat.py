@@ -112,6 +112,20 @@ class Quiver:
             total -= d[s] * e[t]
         return int(total)
 
+    def euler_left(self, d) -> list:
+        """l(d) with <d, e> = l(d) . e: l_v = d_v - sum_{s->v} d_s."""
+        out = list(d)
+        for s, t in self.arrows:
+            out[t] -= d[s]
+        return out
+
+    def euler_right(self, e) -> list:
+        """r(e) with <d, e> = d . r(e): r_v = e_v - sum_{v->t} e_t."""
+        out = list(e)
+        for s, t in self.arrows:
+            out[s] -= e[t]
+        return out
+
     def paths_from(self, v: int):
         """All paths starting at v as (endpoint, arrow-index tuple)."""
         out = [(v, ())]

@@ -9,6 +9,8 @@ import pytest
 
 from periodic_hall.derived import DerivedContext
 from periodic_hall.errors import ResourceLimitError
+from periodic_hall.extended import ExtendedAlgebra
+from periodic_hall.periodic import PeriodicAlgebra
 from periodic_hall.repcat import Quiver, RepContext
 from periodic_hall.suites import graded_objects_upto, partition_sweep
 
@@ -342,3 +344,43 @@ def test_connecting_terms_match_rational_factors(m):
                 assert untabulated_hall_factors(fresh, A, B, I) is None
     # |Aut(S)| = q - 1 = 2 at q = 3: some aut is a product over positions
     assert max(seen_aut) >= 2**m
+
+
+def snapshot(connecting):
+    """A copy of a connecting_terms result that shares no list with it."""
+    return [(I, e, aut, list(terms)) for I, e, aut, terms in connecting]
+
+
+def test_connecting_memo_interleaved_with_both_twists():
+    """Interleaved calls over different pairs and both periods, mixed with
+    element products, return what a fresh context returns; a repeated pair
+    gets the memoized list back, and neither twist mutates it."""
+    d = DerivedContext(RepContext(Quiver.parse("A2"), 2))
+    rep = d.rep
+    classes = rep.iso_classes_upto((1, 1))
+    algebras = {m: (PeriodicAlgebra(d, m), ExtendedAlgebra(d, m)) for m in (1, 3)}
+    rng = random.Random(5)
+
+    def tup(m):
+        return tuple(rng.choice(classes) for _ in range(m))
+
+    for step in range(60):
+        m = rng.choice((1, 3))
+        P, E = algebras[m]
+        A, B = tup(m), tup(m)
+        if step % 4 == 3:
+            x = P.monomial(P.basis(A)) + P.monomial(P.basis(B))
+            y = P.monomial(P.basis(tup(m)))
+            fresh = PeriodicAlgebra(DerivedContext(rep), m)
+            assert P.multiply(x, y).terms == fresh.multiply(
+                fresh.element(x.terms), fresh.element(y.terms)
+            ).terms
+            continue
+        got = d.connecting_terms(A, B)
+        want = DerivedContext(rep).connecting_terms(A, B)
+        assert got == want
+        kept = snapshot(got)
+        P._compute_basis_product(P.basis(A), P.basis(B))
+        E._basis_product(E.basis(A), E.basis(B))
+        assert d.connecting_terms(A, B) is got
+        assert got == kept

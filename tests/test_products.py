@@ -1,0 +1,196 @@
+"""Basis products of both algebras against per-term oracles, the bounded
+product caches, and a pinned embedding sweep on the Kronecker quiver."""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from periodic_hall import combo
+from periodic_hall.derived import DerivedContext
+from periodic_hall.embed import Embedding
+from periodic_hall.extended import ExtendedAlgebra, ExtendedBasisElement, convention_range
+from periodic_hall.periodic import PeriodicAlgebra, PeriodicObject
+from periodic_hall.repcat import Quiver, RepContext
+from periodic_hall.suites import embedding_sweep, periodic_basis_elements
+
+KRONECKER = "2; 1->2, 1->2"
+
+
+def make_embedding(quiver, q, m):
+    d = DerivedContext(RepContext(Quiver.parse(quiver), q))
+    return Embedding(PeriodicAlgebra(d, m), ExtendedAlgebra(d, m))
+
+
+# -- oracles: each twist term by term, with Fraction sums and Euler pairings --
+
+
+def periodic_product_oracle(P, a, b):
+    """u_a u_b with one Fraction weight per connecting tuple, summed per term."""
+    m, rep = P.m, P.rep
+    dims_a = [cls.dims for cls in a.classes]
+    dims_b = [cls.dims for cls in b.classes]
+    twist = 0
+    for i in range(m):
+        twist += rep.euler(combo.alternating_sum(dims_a, i, range(m)), dims_b[i])
+    accum = {}
+    for _, e, aut, terms in P.derived.connecting_terms(a.classes, b.classes):
+        weight = Fraction(P.field.q) ** -e / aut
+        for modules, n in terms:
+            accum[modules] = accum.get(modules, 0) + n * weight
+    return {
+        PeriodicObject(modules): P.field.term(coeff, 4 * twist)
+        for modules, coeff in accum.items()
+        if coeff
+    }
+
+
+def extended_product_oracle(E, x, y):
+    """u_x u_y with every pairing evaluated by the Euler form, per term."""
+    m, rep = E.m, E.rep
+    A, alphas = x.classes, x.alphas
+    B, betas = y.classes, y.alphas
+    dims_a = [cls.dims for cls in A]
+    dims_b = [cls.dims for cls in B]
+    a0 = 0
+    for i in range(m):
+        a0 += 4 * rep.euler(dims_a[i], dims_b[i])
+    for i in range(m):
+        delta = [2 * (s - t) for s, t in zip(dims_b[i], dims_b[(i + 1) % m])]
+        a0 += rep.sym_t_units(alphas[i], delta)
+    for i in convention_range(m):
+        a0 += rep.sym_t_units(alphas[i % m], betas[(i - 1) % m])
+    a0 -= rep.sym_t_units(alphas[m - 1], betas[0])
+
+    out = {}
+    for I, e, aut, terms in E.derived.connecting_terms(A, B):
+        dims_i = [cls.dims for cls in I]
+        dbl_i = [tuple(2 * t for t in v) for v in dims_i]
+        inner = -rep.sym_t_units(
+            dbl_i[m - 1], tuple(p + q for p, q in zip(alphas[0], betas[0]))
+        )
+        for i in convention_range(m):
+            ab = tuple(p + q for p, q in zip(alphas[(i - 1) % m], betas[(i - 1) % m]))
+            inner += rep.sym_t_units(dbl_i[i % m], ab)
+        for i in convention_range(m):
+            inner += 4 * rep.euler(dims_i[(i - 1) % m], dims_i[i % m])
+        inner -= 4 * rep.euler(dims_i[0], dims_i[m - 1])
+        base = a0 + inner - 8 * e
+        gammas = tuple(
+            tuple(d2 + p + q for d2, p, q in zip(dbl_i[i], alphas[i], betas[i]))
+            for i in range(m)
+        )
+        steps = [[s - t for s, t in zip(dims_i[i], dims_i[i - 1])] for i in range(m)]
+        for modules, n in terms:
+            m_exp = 0
+            for cls, step in zip(modules, steps):
+                m_exp += rep.euler(cls.dims, step)
+            scalar = E.field.term(Fraction(n, aut), base + 4 * m_exp)
+            combo.add_term(out, ExtendedBasisElement(modules, gammas), scalar)
+    return out
+
+
+def assert_same_terms(got, want):
+    """Equal scalars on equal bases, in the same term order."""
+    assert list(got.items()) == list(want.items())
+
+
+ORACLE_CASES = [
+    ("A2", 2, 1, 2, None),
+    ("A2", 2, 3, 2, None),
+    ("A2", 2, 5, 2, 150),
+    ("A2", 3, 1, 2, None),
+    ("A2", 3, 3, 2, 600),
+    ("A2", 3, 5, 2, 150),
+    (KRONECKER, 2, 3, 1, None),
+]
+
+
+@pytest.mark.parametrize("quiver, q, m, max_degrees, samples", ORACLE_CASES)
+def test_basis_products_match_per_term_oracles(quiver, q, m, max_degrees, samples):
+    """Both twists equal their per-term oracles on every pair of a bound-(1,1)
+    sweep (a seeded sample of pairs where the sweep is large), the extended
+    one on the phi images."""
+    emb = make_embedding(quiver, q, m)
+    P, E = emb.periodic, emb.extended
+    elements = periodic_basis_elements(P, (1, 1), max_degrees)
+    pairs = [(a, b) for a in elements for b in elements]
+    if samples is not None:
+        pairs = random.Random(100 * q + m).sample(pairs, samples)
+    for a, b in pairs:
+        assert_same_terms(P.basis_product(a, b), periodic_product_oracle(P, a, b))
+        x, y = emb.phi_basis(a).basis, emb.phi_basis(b).basis
+        assert_same_terms(E.basis_product(x, y), extended_product_oracle(E, x, y))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_extended_product_matches_oracle_on_random_k_parts(m):
+    """Random half-lattice K-parts, even period included."""
+    d = DerivedContext(RepContext(Quiver.parse("A2"), 3))
+    E = ExtendedAlgebra(d, m)
+    classes = d.rep.iso_classes_upto((1, 1))
+    rng = random.Random(m)
+
+    def element():
+        alphas = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(m)]
+        return E.basis([rng.choice(classes) for _ in range(m)], alphas)
+
+    for _ in range(150):
+        x, y = element(), element()
+        assert_same_terms(E.basis_product(x, y), extended_product_oracle(E, x, y))
+
+
+def test_product_caches_are_bounded(monkeypatch):
+    """With room for 4 products, a sweep evicts the oldest entries, keeps
+    every cache at 4 or fewer, and returns the same products and report."""
+    d = DerivedContext(RepContext(Quiver.parse("A2"), 2))
+
+    def embedding():
+        return Embedding(PeriodicAlgebra(d, 3), ExtendedAlgebra(d, 3))
+
+    def products(emb, a, b):
+        x, y = emb.phi_basis(a).basis, emb.phi_basis(b).basis
+        return (
+            emb.verify_homomorphism(a, b),
+            emb.periodic.basis_product(a, b),
+            emb.extended.basis_product(x, y),
+        )
+
+    full = embedding()
+    elements = periodic_basis_elements(full.periodic, (1, 1), max_degrees=1)
+    pairs = [(a, b) for a in elements for b in elements]
+    want = [products(full, a, b) for a, b in pairs]
+    want_report = embedding_sweep(full, (1, 1), max_degrees=1)
+
+    monkeypatch.setattr(combo, "PRODUCT_CACHE_SIZE", 4)
+    capped = embedding()
+    caches = (capped.periodic._product_cache, capped.extended._product_cache)
+    for (a, b), expected in zip(pairs, want):
+        assert products(capped, a, b) == expected
+        assert all(len(cache) <= 4 for cache in caches)
+    assert all(len(cache) == 4 for cache in caches)
+    assert embedding_sweep(capped, (1, 1), max_degrees=1) == want_report
+    assert all(len(cache) <= 4 for cache in caches)
+
+
+# sha256 of phi(a b), as compact to_json text, over the Kronecker sweep in
+# suite order; pinned before the product path shared its connecting pass.
+KRONECKER_PIN = (361, "1c71345818bf7e30630b2fef20ce192d8d0c69e19c01bd13865101c2306b67a6")
+
+
+def test_kronecker_embedding_pinned():
+    emb = make_embedding(KRONECKER, 2, 3)
+    P = emb.periodic
+    elements = periodic_basis_elements(P, (1, 1), max_degrees=1)
+    h = hashlib.sha256()
+    pairs = 0
+    for a in elements:
+        for b in elements:
+            assert emb.verify_homomorphism(a, b)["equal"], (a, b)
+            lhs = emb.phi(P.multiply(P.monomial(a), P.monomial(b)))
+            h.update(json.dumps(lhs.to_json(), separators=(",", ":")).encode())
+            h.update(b"\n")
+            pairs += 1
+    assert (pairs, h.hexdigest()) == KRONECKER_PIN

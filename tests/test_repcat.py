@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from periodic_hall import linalg
@@ -625,3 +625,25 @@ def test_classification_is_invariant_under_random_base_change(case):
     ctx = _rep_context(text, q)
     moved = ctx.random_base_change(rep, random.Random(seed))
     assert ctx.classify_rep(moved) == ctx.classify_rep(rep)
+
+
+@st.composite
+def _quivers_with_vectors(draw):
+    """An acyclic quiver on at most 3 vertices, arrows repeated freely (the
+    Kronecker quiver among them), and two integer vectors on its vertices."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.permutations(range(n)))  # arrows run forward in this order
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    arrows = draw(st.lists(st.sampled_from(pairs), max_size=5)) if pairs else []
+    vector = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    return Quiver(n, arrows), draw(vector), draw(vector)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_quivers_with_vectors())
+@example((Quiver.parse(KRONECKER), [2, -1], [1, 3]))
+def test_euler_functionals_agree_with_euler_form(case):
+    quiver, d, e = case
+    want = quiver.euler(d, e)
+    assert sum(x * y for x, y in zip(quiver.euler_left(d), e)) == want
+    assert sum(x * y for x, y in zip(d, quiver.euler_right(e))) == want
