@@ -17,7 +17,7 @@ of basis elements, tied to the algebra that built them.
 All arithmetic is exact, in the field Q[t]/(t^8 - q) with v = sqrt(q) = t^4.
 """
 
-from .derived import ChainMap, DerivedContext, GradedObject, ProjComplex
+from .derived import DerivedContext, GradedObject, ProjComplex
 from .embed import Embedding, PhiImage, check_identity_3_2, phi_exponent_t_units
 from .errors import (
     EvenPeriodError,
@@ -35,7 +35,6 @@ from .scalar import Scalar, ScalarField, parse_scalar
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainMap",
     "DerivedContext",
     "Element",
     "Embedding",

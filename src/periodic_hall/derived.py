@@ -10,6 +10,7 @@ M[i] is replaced by its minimal projective resolution (length at most one),
 placed in cohomological degrees -i-1, -i; maps X -> Y[1] are genuine chain
 maps between those complexes, and the cone of a chain map is the literal
 mapping cone, whose homology is read off and classified degree by degree.
+Syzygies and homology use the subquotient routines of `repcat`.
 
 The extension-fiber counter enumerates morphisms f: X -> Y[1] and tallies
 them by the class L with cone(f) = L[1].  Counting runs either over a
@@ -35,6 +36,7 @@ from .repcat import (
     IsoClass,
     Rep,
     RepContext,
+    _columns,
     _morphism_constraints,
     _VarLayout,
     direct_sum_reps,
@@ -142,22 +144,6 @@ def direct_sum_complexes(a: ProjComplex, b: ProjComplex) -> ProjComplex:
             linalg.block_diag(da[v], ca[v], db[v], cb[v]) for v in range(n)
         )
     return ProjComplex(ctx, terms, diffs)
-
-
-@dataclass
-class ChainMap:
-    """Degreewise representation morphisms commuting with the differentials."""
-
-    source: ProjComplex
-    target: ProjComplex
-    mats: dict  # n -> per-vertex matrices (target_n_v x source_n_v)
-
-    def component(self, n: int, v: int):
-        comp = self.mats.get(n)
-        if comp is None:
-            cols = self.source.term(n).dims[v]
-            return [[0] * cols for _ in range(self.target.term(n).dims[v])]
-        return comp[v]
 
 
 def _map_layout(C: ProjComplex, D: ProjComplex, lag: int = 0):
@@ -324,15 +310,6 @@ class ConeCounter:
             tally = out
         return tally
 
-    # -- chain-map helpers for direct cone tests -------------------------------------
-
-    def chain_map_from_vector(self, fvec) -> ChainMap:
-        vec = [x % self.q for x in fvec]
-        return ChainMap(self.C, self.D, self.layout.matrices(vec))
-
-    def null_homotopic_vectors(self):
-        return list(self.homotopy_rows)
-
 
 def _graded_homology(ctx: RepContext, terms: dict, diffs: dict, shift: int):
     """Classes of the homology of a complex given by its terms (Reps) and
@@ -342,50 +319,10 @@ def _graded_homology(ctx: RepContext, terms: dict, diffs: dict, shift: int):
         term = terms[n]
         if term.total_dim == 0:
             continue
-        h = _homology_rep(ctx, term, diffs.get(n - 1), diffs.get(n))
+        h = ctx._homology(term, diffs.get(n - 1), diffs.get(n))
         if h.total_dim:
             entries.append((shift - n, ctx.classify_rep(h)))
     return GradedObject(tuple(sorted(entries, key=lambda item: item[0])))
-
-
-def _homology_rep(ctx: RepContext, term: Rep, d_in, d_out) -> Rep:
-    """ker(d_out)/im(d_in) at one degree, as a representation."""
-    q = ctx.q
-    comps = []  # per vertex: kernel vectors completing im(d_in) to ker(d_out)
-    bases = []  # per vertex: rows of the matrix whose columns are im + comp
-    ranks_in = []
-    for v, d in enumerate(term.dims):
-        if d == 0:
-            comps.append([])
-            bases.append(None)
-            ranks_in.append(0)
-            continue
-        ker = linalg.kernel(d_out[v] if d_out is not None else [], d, q)
-        image = [[]] * d  # pivot columns of d_in: a basis of its image
-        if d_in is not None and d_in[v][0]:
-            cols = linalg.rref(d_in[v], q)[1]
-            image = [[row[j] % q for j in cols] for row in d_in[v]]
-        ri = len(image[0])
-        # the pivot columns of [image | ker] past the image complete it to ker
-        both = [row + [k[i] for k in ker] for i, row in enumerate(image)]
-        comp = [ker[j - ri] for j in linalg.rref(both, q)[1][ri:]]
-        comps.append(comp)
-        bases.append([row + [c[i] for c in comp] for i, row in enumerate(image)])
-        ranks_in.append(ri)
-    dims = tuple(len(c) for c in comps)
-    mats = []
-    for idx, (s, t) in enumerate(ctx.quiver.arrows):
-        if dims[s] == 0 or dims[t] == 0:
-            mats.append([[0] * dims[s] for _ in range(dims[t])])
-            continue
-        vecs = linalg.mul_t(term.mats[idx], comps[s], q)
-        coords = linalg.solve(bases[t], vecs, ranks_in[t] + dims[t], q)
-        if coords is None:
-            raise InvariantError(
-                f"homology arrow {s + 1}->{t + 1} maps out of the kernel"
-            )
-        mats.append(coords[ranks_in[t] :])
-    return Rep(dims, tuple(mats))
 
 
 class DerivedContext:
@@ -505,7 +442,7 @@ class DerivedContext:
                 cover = direct_sum_reps(quiver, cover, proj)
                 for w in range(n):
                     pi[w] += [self._apply_path(rep, p, top) for p in paths[w]]
-        pi = [[[c[i] for c in pi[v]] for i in range(rep.dims[v])] for v in range(n)]
+        pi = _columns(pi, rep.dims)
         for v in range(n):
             if linalg.rank(pi[v], q) != rep.dims[v]:
                 raise InvariantError(
@@ -513,19 +450,10 @@ class DerivedContext:
                 )
 
         kernels = [linalg.kernel(pi[v], cover.dims[v], q) for v in range(n)]
-        iota = tuple(  # the inclusion of the syzygy, with columns kernels[v] at v
-            [[k[i] for k in kernels[v]] for i in range(cover.dims[v])] for v in range(n)
-        )
-        k_mats = []
-        for idx, (s, t) in enumerate(quiver.arrows):
-            image = linalg.mul_t(cover.mats[idx], kernels[s], q)
-            z = linalg.solve(iota[t], image, len(kernels[t]), q)
-            if z is None:
-                raise InvariantError(
-                    f"syzygy of {cls.name} is not closed under arrow {s + 1}->{t + 1}"
-                )
-            k_mats.append(z)
-        syzygy = Rep(tuple(map(len, kernels)), tuple(k_mats))
+        iota = _columns(kernels, cover.dims)  # the inclusion of the syzygy
+        syzygy = ctx._subrep(cover, kernels)
+        if syzygy is None:
+            raise InvariantError(f"syzygy of {cls.name} is not closed under the arrows")
         result = (syzygy, cover, iota)
         self._stalk_res[cls.key] = result
         return result
@@ -565,17 +493,6 @@ class DerivedContext:
         return _graded_homology(self.rep, cpx.terms, cpx.diffs, 0)
 
     # -- cones and fibers -----------------------------------------------------
-
-    def cone_counter(self, X: GradedObject, Y: GradedObject) -> ConeCounter:
-        return ConeCounter(self, X, Y)
-
-    def cone_class(self, f: ChainMap) -> GradedObject:
-        """L with cone(f) = L[1], from the literal mapping cone of f."""
-        layout, _ = _map_layout(f.source, f.target)
-        vec = [0] * layout.size
-        for n, v, r, c, off in layout.blocks:
-            vec[off : off + r * c] = [x % self.q for row in f.component(n, v) for x in row]
-        return _Cone(f.source, f.target, layout).homology(vec)
 
     def fiber_counts(self, X: GradedObject, Y: GradedObject, mode: str | None = None):
         """|Ext^1(X, Y)_L| for every L with a nonempty fiber."""

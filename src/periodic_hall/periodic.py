@@ -11,10 +11,10 @@ position:
 
 where twist = sum_i < sum_k (-1)^k [A_{i+k}], [B_i] >.  The connecting
 classes and their integer terms n * q^-e / aut come from
-`DerivedContext.connecting_terms`; only the twist is computed here.  The
-coefficient of each output tuple M is summed in integers over one common
-denominator q^e_max * lcm(aut), as sum n * q^(e_max - e) * (lcm(aut) / aut),
-and becomes one rational and one scalar.
+`DerivedContext.connecting_terms`; only the twist is computed here.  All
+connecting tuples share e = sum_i dim Hom(A_i, B_i), so the coefficient of
+each output tuple M is summed in integers as sum n * (lcm(aut) / aut) over
+q^e * lcm(aut), and becomes one rational and one scalar.
 
 Only odd m is accepted: without the extension by K-elements the even
 periodic multiplication is not defined.
@@ -28,7 +28,7 @@ from math import lcm
 
 from . import combo
 from .derived import DerivedContext
-from .errors import EvenPeriodError, ParseError
+from .errors import EvenPeriodError, InvariantError, ParseError
 
 
 @dataclass(frozen=True)
@@ -93,22 +93,25 @@ class PeriodicAlgebra(combo.Algebra):
             alt = combo.alternating_sum(dims_a, i, range(m))
             twist += rep.euler(alt, dims_b[i])
 
-        # integer numerators over the common denominator q^e_max * lcm(aut)
+        # integer numerators over the common denominator q^e * lcm(aut), with
+        # e = sum_i hom(A_i, B_i) for every connecting tuple
         connecting = self.derived.connecting_terms(a.classes, b.classes)
         if not connecting:
             return {}
         q = self.field.q
-        e_max = max(e for _, e, _, _ in connecting)
+        e = connecting[0][1]
+        if any(other != e for _, other, _, _ in connecting):
+            raise InvariantError(f"Hall exponents of {a} * {b} differ across tuples")
         den = lcm(*(aut for _, _, aut, _ in connecting))
         accum: dict = {}
-        for _, e, aut, terms in connecting:
-            weight = q ** (e_max - e) * (den // aut)
+        for _, _, aut, terms in connecting:
+            weight = den // aut
             for modules, n in terms:
                 accum[modules] = accum.get(modules, 0) + n * weight
 
-        # v^twist * q^-e_max = t^(4 twist - 8 e_max) = q^k t^r: one rational
-        # and one scalar per output tuple
-        k, r = divmod(4 * twist - 8 * e_max, 8)
+        # v^twist * q^-e = t^(4 twist - 8 e) = q^k t^r: one rational and one
+        # scalar per output tuple
+        k, r = divmod(4 * twist - 8 * e, 8)
         if k >= 0:
             scale = q**k
         else:

@@ -15,6 +15,10 @@ Classes are named by their Krull-Schmidt decomposition into labeled
 indecomposables: an orbit not reachable as a direct sum of strictly
 smaller classes is a new indecomposable and gets a fresh label (S/P/I
 for simples, projectives and injectives, X... otherwise).
+
+Subquotients come from two routines: `_subrep` restricts to a span (a
+submodule, or a syzygy in `derived`) and `_homology` takes ker/im at one
+term of a complex (a cone's homology in `derived`, or a quotient here).
 """
 
 from __future__ import annotations
@@ -192,6 +196,11 @@ def direct_sum_reps(quiver: Quiver, a: Rep, b: Rep) -> Rep:
         for (s, _), ma, mb in zip(quiver.arrows, a.mats, b.mats)
     )
     return Rep(dims, mats)
+
+
+def _columns(vectors, dims) -> tuple:
+    """Per vertex v, the dims[v]-row matrix whose columns are vectors[v]."""
+    return tuple([[u[i] for u in vs] for i in range(d)] for vs, d in zip(vectors, dims))
 
 
 class _VarLayout:
@@ -811,35 +820,52 @@ class RepContext:
     def _subrep(self, repL: Rep, rows):
         """Restriction to span(rows) per vertex, or None if not arrow-closed."""
         q = self.q
+        span = _columns(rows, repL.dims)
         mats = []
         for idx, (s, t) in enumerate(self.quiver.arrows):
             image = linalg.mul_t(repL.mats[idx], rows[s], q)
-            span_t = [[u[i] for u in rows[t]] for i in range(repL.dims[t])]
-            z = linalg.solve(span_t, image, len(rows[t]), q)
+            z = linalg.solve(span[t], image, len(rows[t]), q)
             if z is None:
                 return None
             mats.append(z)
         return Rep(tuple(map(len, rows)), tuple(mats))
 
     def _quotient_rep(self, repL: Rep, rows):
+        """L / span(rows): the homology of the inclusion span(rows) -> L."""
+        return self._homology(repL, _columns(rows, repL.dims), None)
+
+    def _homology(self, term: Rep, d_in, d_out) -> Rep:
+        """ker(d_out)/im(d_in) at one term; each d is per-vertex or None (zero)."""
         q = self.q
-        n = self.quiver.n
-        comp = []
-        inv_basis = []
-        for v in range(n):
-            d = repL.dims[v]
-            identity = [[int(i == j) for j in range(d)] for i in range(d)]
-            c = linalg.extend_row_basis(rows[v], identity, q)
-            comp.append(c)
-            w = rows[v] + c  # rows form a basis
-            inv_basis.append(linalg.inverse([list(col) for col in zip(*w)], q))
+        comps = [[]] * len(term.dims)  # per vertex: kernel vectors completing im to ker
+        bases = [None] * len(term.dims)  # per vertex: rows of the matrix [im | comp]
+        for v, d in enumerate(term.dims):
+            if d == 0:
+                continue
+            ker = linalg.kernel(d_out[v] if d_out is not None else [], d, q)
+            image = [[]] * d  # pivot columns of d_in: a basis of its image
+            if d_in is not None and d_in[v][0]:
+                cols = linalg.rref(d_in[v], q)[1]
+                image = [[row[j] % q for j in cols] for row in d_in[v]]
+            ri = len(image[0])
+            # the pivot columns of [image | ker] past the image complete it to ker
+            both = [row + [k[i] for k in ker] for i, row in enumerate(image)]
+            comps[v] = comp = [ker[j - ri] for j in linalg.rref(both, q)[1][ri:]]
+            bases[v] = [row + [c[i] for c in comp] for i, row in enumerate(image)]
+        dims = tuple(len(c) for c in comps)
         mats = []
         for idx, (s, t) in enumerate(self.quiver.arrows):
-            # coordinates of L_a c in the basis rows[t] + comp[t], for c in comp[s]
-            image_t = linalg.mul_t(comp[s], repL.mats[idx], q)
-            coords = linalg.mul_t(inv_basis[t], image_t, q)
-            mats.append(coords[len(rows[t]) :])
-        return Rep(tuple(map(len, comp)), tuple(mats))
+            if dims[s] == 0 or dims[t] == 0:
+                mats.append([[0] * dims[s] for _ in range(dims[t])])
+                continue
+            vecs = linalg.mul_t(term.mats[idx], comps[s], q)
+            coords = linalg.solve(bases[t], vecs, len(bases[t][0]), q)
+            if coords is None:
+                raise InvariantError(
+                    f"homology arrow {s + 1}->{t + 1} maps out of the kernel"
+                )
+            mats.append(coords[-dims[t] :])  # the part past the image
+        return Rep(dims, tuple(mats))
 
     # -- misc -------------------------------------------------------------------
 

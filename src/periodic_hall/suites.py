@@ -15,7 +15,7 @@ from itertools import product
 
 from .derived import DerivedContext
 from .embed import Embedding, check_identity_3_2
-from .errors import UsageError
+from .errors import EvenPeriodError, UsageError
 from .extended import ExtendedAlgebra
 from .periodic import PeriodicAlgebra
 
@@ -175,6 +175,10 @@ def partition_sweep(
 
 def identities_sweep(m: int, samples: int, rng, dim: int, span: int = 6) -> dict:
     """Telescoping identities for alternating K-class sums, random vectors."""
+    if m < 1:
+        raise UsageError(f"period must be positive, got {m}")
+    if m % 2 == 0:
+        raise EvenPeriodError(f"the telescoping identities need odd m, got {m}")
     failures = []
     checked = 0
     cases = [[tuple(0 for _ in range(dim)) for _ in range(m)]]

@@ -110,6 +110,21 @@ def test_verify_identities(capsys):
     assert "passed: True" in out
 
 
+@pytest.mark.parametrize(
+    "m, code, message",
+    [("0", 2, "period must be positive"), ("-3", 2, "period must be positive"),
+     ("2", 3, "odd")],
+)
+def test_verify_identities_rejects_bad_period(capsys, m, code, message):
+    got, out, err = run(
+        capsys, "verify", "--quiver", "A2", "--q", "2", "--m", m,
+        "identities", "--samples", "5",
+    )
+    assert got == code
+    assert message in err
+    assert "passed" not in out
+
+
 def test_verify_assoc_deterministic(capsys):
     args = (
         "verify", "--quiver", "A2", "--q", "2", "--m", "3",

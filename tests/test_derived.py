@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from periodic_hall.derived import DerivedContext
+from periodic_hall.derived import ConeCounter, DerivedContext
 from periodic_hall.errors import ResourceLimitError
 from periodic_hall.extended import ExtendedAlgebra
 from periodic_hall.periodic import PeriodicAlgebra
@@ -66,12 +66,10 @@ def test_resolution_homology_reproduces_object(a2_q2, a2_q3):
 
 def test_cone_of_zero_map_splits(a2_q2):
     d = a2_q2
-    ctx = d.rep
     X = d.parse_graded("S1@0 + S2@1")
     Y = d.parse_graded("P1@0")
-    counter = d.cone_counter(X, Y)
-    f = counter.chain_map_from_vector([0] * counter.layout.size)
-    L = d.cone_class(f)
+    counter = ConeCounter(d, X, Y)
+    L = counter.cone.homology([0] * counter.layout.size)
     assert L == d.parse_graded("S1+P1@0 + S2@1")
 
 
@@ -80,13 +78,13 @@ def test_cone_of_identity_vanishes(a2_q2):
     ctx = d.rep
     I = ctx.class_by_name("P1")
     X = d.stalk(I, 1)
-    counter = d.cone_counter(X, d.stalk(I))  # target resolves (I)[1]
+    counter = ConeCounter(d, X, d.stalk(I))  # target resolves (I)[1]
     # the identity chain map P(I[1]) -> P(I)[1] == P(I[1])
     vec = [0] * counter.layout.size
     for deg, vertex, rows, cols, off in counter.layout.blocks:
         assert rows == cols
         vec[off : off + rows * cols] = [int(i == j) for i in range(rows) for j in range(cols)]
-    assert d.cone_class(counter.chain_map_from_vector(vec)).is_zero
+    assert counter.cone.homology(vec).is_zero
 
 
 def test_cone_of_extension_class(a2_q2):
@@ -94,10 +92,10 @@ def test_cone_of_extension_class(a2_q2):
     ctx = d.rep
     X = d.stalk(ctx.class_by_name("S1"))
     Y = d.stalk(ctx.class_by_name("S2"))
-    counter = d.cone_counter(X, Y)
+    counter = ConeCounter(d, X, Y)
     assert counter.complement_rows.shape[0] == 1
-    f = counter.chain_map_from_vector(counter.complement_rows[0].tolist())
-    assert d.cone_class(f) == d.stalk(ctx.class_by_name("P1"))
+    L = counter.cone.homology(counter.complement_rows[0].tolist())
+    assert L == d.stalk(ctx.class_by_name("P1"))
 
 
 def test_cone_class_homotopy_invariant(a2_q2):
@@ -105,18 +103,18 @@ def test_cone_class_homotopy_invariant(a2_q2):
     rng = random.Random(31)
     X = d.parse_graded("S1@0 + S2@1")
     Y = d.parse_graded("P1@0 + S1@1")
-    counter = d.cone_counter(X, Y)
-    homotopies = counter.null_homotopic_vectors()
+    counter = ConeCounter(d, X, Y)
+    homotopies = counter.homotopy_rows
     assert homotopies, "test needs a nonzero null-homotopic space"
     for row in counter.chain_basis.tolist():
-        base = d.cone_class(counter.chain_map_from_vector(row))
+        base = counter.cone.homology(row)
         for _ in range(3):
             coeffs = [rng.randrange(d.q) for _ in homotopies]
             moved = [
                 (x + sum(c * h[i] for c, h in zip(coeffs, homotopies))) % d.q
                 for i, x in enumerate(row)
             ]
-            assert d.cone_class(counter.chain_map_from_vector(moved)) == base
+            assert counter.cone.homology(moved) == base
 
 
 def test_derived_hall_number_examples(dctx_factory):
@@ -384,3 +382,31 @@ def test_connecting_memo_interleaved_with_both_twists():
         E._basis_product(E.basis(A), E.basis(B))
         assert d.connecting_terms(A, B) is got
         assert got == kept
+
+
+@pytest.mark.parametrize("quiver, q", [("A2", 2), ("A2", 3), ("2; 1->2, 1->2", 2)])
+def test_hall_exponent_is_hom_dim(dctx_factory, quiver, q):
+    """X = I[1] + A and Y = B + I'[-1] have no positive degree gaps, so each
+    Hall-table entry's e is hom(A, B) whatever I and I' are, and every
+    connecting tuple of a pair shares e = sum_i hom(A_i, B_i)."""
+    d = dctx_factory(quiver, q)
+    rep = d.rep
+    classes = rep.iso_classes_upto((1, 1))
+    nonempty = 0
+    for a, b in product(classes, repeat=2):
+        for i_cls in rep.iso_classes_upto(b.dims):
+            for i_prev in rep.iso_classes_upto(a.dims):
+                factor = d._hall_factor(a, b, i_cls, i_prev)
+                if factor is not None:
+                    nonempty += 1
+                    assert factor[1] == rep.hom_dim(a, b), (a, b, i_cls, i_prev)
+    assert nonempty
+    rng = random.Random(q)
+    shared = 0  # pairs with more than one connecting tuple
+    for _ in range(40):
+        A = tuple(rng.choice(classes) for _ in range(3))
+        B = tuple(rng.choice(classes) for _ in range(3))
+        connecting = d.connecting_terms(A, B)
+        assert {e for _, e, _, _ in connecting} <= {sum(map(rep.hom_dim, A, B))}
+        shared += len(connecting) > 1
+    assert shared

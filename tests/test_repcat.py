@@ -157,6 +157,78 @@ def test_submodule_partition_counts_each_submodule_once(ctx_factory):
             assert total == direct, (L.name, k)
 
 
+def oracle_quotient_rep(ctx, repL, rows):
+    """L / span(rows) through a complement of the rows, completed from the
+    standard basis, and one inverse change of basis per vertex."""
+    q = ctx.q
+    comp = []
+    inv_basis = []
+    for v in range(ctx.quiver.n):
+        d = repL.dims[v]
+        identity = [[int(i == j) for j in range(d)] for i in range(d)]
+        c = linalg.extend_row_basis(rows[v], identity, q)
+        comp.append(c)
+        w = rows[v] + c  # rows form a basis
+        inv_basis.append(linalg.inverse([list(col) for col in zip(*w)], q))
+    mats = []
+    for idx, (s, t) in enumerate(ctx.quiver.arrows):
+        # coordinates of L_a c in the basis rows[t] + comp[t], for c in comp[s]
+        image_t = linalg.mul_t(comp[s], repL.mats[idx], q)
+        coords = linalg.mul_t(inv_basis[t], image_t, q)
+        mats.append(coords[len(rows[t]) :])
+    return Rep(tuple(map(len, comp)), tuple(mats))
+
+
+def oracle_syzygy(ctx, cover, kernels):
+    """The kernel of a projective cover as a representation, arrow by arrow:
+    the image of each kernel vector solved in the kernel basis."""
+    q = ctx.q
+    iota = [
+        [[k[i] for k in kernels[v]] for i in range(cover.dims[v])]
+        for v in range(ctx.quiver.n)
+    ]
+    k_mats = []
+    for idx, (s, t) in enumerate(ctx.quiver.arrows):
+        image = linalg.mul_t(cover.mats[idx], kernels[s], q)
+        z = linalg.solve(iota[t], image, len(kernels[t]), q)
+        assert z is not None
+        k_mats.append(z)
+    return Rep(tuple(map(len, kernels)), tuple(k_mats))
+
+
+@pytest.mark.parametrize(
+    "quiver, bound",
+    [("A2", (2, 2)), ("A3", (1, 1, 1)), ("2; 1->2, 1->2", (2, 2))],
+)
+@pytest.mark.parametrize("q", [2, 3])
+def test_restriction_and_homology_match_oracles(dctx_factory, quiver, bound, q):
+    """Syzygies (restrictions of the cover) equal the arrow-by-arrow oracle
+    matrix for matrix, and quotients (homology of an inclusion) have the
+    class of the complement-basis oracle for every arrow-closed subspace
+    tuple."""
+    d = dctx_factory(quiver, q)
+    ctx = d.rep
+    quotients = 0
+    for cls in ctx.iso_classes_upto(bound):
+        syzygy, cover, iota = d._stalk_resolution(cls)
+        kernels = [[list(col) for col in zip(*m)] for m in iota]
+        want = oracle_syzygy(ctx, cover, kernels)
+        assert (syzygy.dims, syzygy.mats) == (want.dims, want.mats), cls
+        rep = ctx.representative(cls)
+        per_vertex = [
+            [s for k in range(dim + 1) for s in linalg.subspaces(dim, k, q)]
+            for dim in rep.dims
+        ]
+        for rows in product(*per_vertex):
+            if ctx._subrep(rep, rows) is None:
+                continue
+            got = ctx.classify_rep(ctx._quotient_rep(rep, rows))
+            want = ctx.classify_rep(oracle_quotient_rep(ctx, rep, rows))
+            assert got == want, (cls, rows)
+            quotients += 1
+    assert quotients
+
+
 def test_classification_invariant_under_base_change(ctx_factory):
     rng = random.Random(17)
     for quiver, q in (("A2", 2), ("A2", 3), ("A3", 2)):
