@@ -217,23 +217,16 @@ def _cmd_verify(args) -> int:
     bound = _parse_bound(args.dim_bound, n) if args.dim_bound else (1,) * n
 
     if args.suite == "assoc":
+        algebras = [("extended", ExtendedAlgebra(dctx, settings.m))]
+        if settings.m % 2 == 1:
+            algebras.insert(0, ("periodic", PeriodicAlgebra(dctx, settings.m)))
         reports = []
-        periodic_ok = settings.m % 2 == 1
-        if periodic_ok:
-            algebra = PeriodicAlgebra(dctx, settings.m)
-            reports.append(
-                suites.associativity_sweep(
-                    algebra, args.samples, rng, bound, args.max_degrees
-                )
+        for name, algebra in algebras:
+            report = suites.associativity_sweep(
+                algebra, args.samples, rng, bound, args.max_degrees
             )
-            reports[-1]["algebra"] = "periodic"
-        extended = ExtendedAlgebra(dctx, settings.m)
-        reports.append(
-            suites.associativity_sweep(
-                extended, args.samples, rng, bound, args.max_degrees, with_k=True
-            )
-        )
-        reports[-1]["algebra"] = "extended"
+            report["algebra"] = name
+            reports.append(report)
         merged = {
             "suite": "assoc",
             "checked": sum(r["checked"] for r in reports),

@@ -43,7 +43,7 @@ from .repcat import (
 )
 from .scalar import Scalar, ScalarField
 
-_MISSING = object()
+_COUNT_MODES = ("quotient", "total")
 
 
 @dataclass(frozen=True)
@@ -335,7 +335,7 @@ class DerivedContext:
         cap_dim: int = 14,
         count_mode: str = "quotient",
     ):
-        if count_mode not in ("quotient", "total"):
+        if count_mode not in _COUNT_MODES:
             raise UsageError(f"unknown count mode {count_mode!r}")
         self.rep = rep
         self.q = rep.q
@@ -345,7 +345,7 @@ class DerivedContext:
         self._stalk_res: dict = {}
         self._res_cache: dict = {}
         self._fiber_cache: dict = {}
-        self._hall_table: dict = {}  # class keys of (A_i, B_i, I_i, I_{i-1})
+        self._hall_table: dict = {}  # (A_i, B_i, I_i, I_{i-1}) keys -> {M: n}
         self._connecting_memo = None  # (A, B, connecting_terms(A, B))
 
     # -- graded objects -----------------------------------------------------
@@ -500,6 +500,8 @@ class DerivedContext:
         key = (X.entries, Y.entries, mode)
         cached = self._fiber_cache.get(key)
         if cached is None:
+            if mode not in _COUNT_MODES:
+                raise UsageError(f"unknown count mode {mode!r}")
             cached = ConeCounter(self, X, Y).counts(mode)
             self._fiber_cache[key] = cached
         return cached
@@ -514,86 +516,68 @@ class DerivedContext:
                 out[L.entries[0][1]] = c
         return out
 
-    def hall_factors(self, A, B, I):
-        """Per position i, the Hall factor of (A_i, B_i, I_i, I_{i-1}) as an
-        entry (counts, e, aut) (indices mod the period), for module tuples
-        A, B and connecting classes I; None if some fiber is empty.
-
-        An entry stands for M -> H(M; I_i[1] + A_i, B_i + I_{i-1}[-1])
-        / |Aut(I_i)| = counts[M] * q^-e / aut, with counts[M] the fiber
-        sizes (ints), e the Hall denominator exponent and aut = |Aut(I_i)|.
-        Each position's entry is computed once per context; the returned
-        entries are the table's own, so callers read them and must not
-        mutate them.
-        """
-        m = len(A)
-        table = self._hall_table
-        factors = []
-        for i in range(m):
-            a, b, i_cls, i_prev = A[i], B[i], I[i], I[i - 1]
-            key = (a.key, b.key, i_cls.key, i_prev.key)
-            factor = table.get(key, _MISSING)
-            if factor is _MISSING:
-                factor = table[key] = self._hall_factor(a, b, i_cls, i_prev)
-            if factor is None:
-                return None
-            factors.append(factor)
-        return factors
-
     def connecting_terms(self, A, B) -> list:
         """For module tuples A, B of one period (indices mod m), the list of
-        (I, e, aut, terms), one entry for each tuple I of connecting classes
-        with nonempty fibers.  terms holds one pair (M, n) per module tuple
-        M, with n an int such that
+        (I, e, aut, terms), one entry per tuple I of connecting classes with
+        nonempty fibers; terms holds one pair (M, n) per module tuple M, with
+        n an int such that
 
             prod_i H(M_i; I_i[1] + A_i, B_i + I_{i-1}[-1]) / |Aut(I_i)|
-                = n * q^-e / aut;
+                = n * q^-e / aut,
 
-        e and aut are the sum of the per-position exponents and the product
-        of the |Aut(I_i)|.  Each algebra applies its own twist to them.
+        e = sum_i dim Hom(A_i, B_i) for every I and aut = prod_i |Aut(I_i)|.
+        Each algebra applies its own twist.  The module fiber counts of each
+        position key (A_i, B_i, I_i, I_{i-1}) are tabulated once per context,
+        an empty fiber as {}.
 
-        I is pruned by the necessary condition that I_i embeds into B_i and
-        A_{i+1} surjects onto I_i, which only compares dimension vectors:
-        dim I_i <= min(B_i, A_{i+1}).  Pruned terms vanish (the tests
-        spot-check this against the unpruned counter).
-
-        The result for the last (A, B) is kept in a one-slot memo: phi keeps
-        module tuples, so the extended product of phi(a), phi(b) reuses the
-        pass of the periodic product of a, b.  Callers read the list and its
-        entries and must not mutate them.
+        I_i is pruned to dim I_i <= min(B_i, A_{i+1}), as I_i must embed into
+        B_i and be a quotient of A_{i+1}; pruned terms vanish (the tests
+        spot-check this against the unpruned factors).  The last pair's
+        result is kept in a one-slot memo: phi keeps module tuples, so the
+        extended product of phi(a), phi(b) reuses the pass of the periodic
+        product of a, b.  Callers must not mutate the list or its entries.
         """
         memo = self._connecting_memo
         if memo is not None and memo[0] == A and memo[1] == B:
             return memo[2]
         m = len(A)
+        rep, table = self.rep, self._hall_table
         candidates = [
-            self.rep.iso_classes_upto(tuple(map(min, B[i].dims, A[(i + 1) % m].dims)))
+            rep.iso_classes_upto(tuple(map(min, B[i].dims, A[(i + 1) % m].dims)))
             for i in range(m)
         ]
+        e = sum(map(rep.hom_dim, A, B))
         out = []
         for I in product(*candidates):
-            factors = self.hall_factors(A, B, I)
-            if factors is None:
-                continue
-            counts, exps, auts = zip(*factors)
-            terms = []
-            for choice in product(*(c.items() for c in counts)):
-                modules, ns = zip(*choice)
-                terms.append((modules, prod(ns)))
-            out.append((I, sum(exps), prod(auts), terms))
+            counts = []
+            for i in range(m):
+                key = (A[i].key, B[i].key, I[i].key, I[i - 1].key)
+                fiber = table.get(key)
+                if fiber is None:
+                    fiber = table[key] = self._hall_fibers(A[i], B[i], I[i], I[i - 1])
+                if not fiber:
+                    break
+                counts.append(fiber)
+            else:
+                terms = []
+                for choice in product(*(c.items() for c in counts)):
+                    modules, ns = zip(*choice)
+                    terms.append((modules, prod(ns)))
+                out.append((I, e, prod(map(rep.aut_count, I)), terms))
         self._connecting_memo = (A, B, out)
         return out
 
-    def _hall_factor(self, a, b, i_cls, i_prev):
-        """(counts, e, |Aut(I)|) with H(M; I[1] + A, B + I'[-1]) / |Aut(I)|
-        = counts[M] * q^-e / |Aut(I)|, or None if the fiber is empty (I' is
-        the connecting class one position back)."""
+    def _hall_fibers(self, a, b, i_cls, i_prev) -> dict:
+        """{M: |fiber|} with H(M; I[1] + A, B + I'[-1]) = |fiber| * q^-hom(A, B),
+        I' the connecting class one position back."""
         X = self.graded({1: i_cls, 0: a})
         Y = self.graded({0: b, -1: i_prev})
-        counts = self.module_fiber_counts(X, Y)
-        if not counts:
-            return None
-        return counts, self.hall_denominator_exponent(X, Y), self.rep.aut_count(i_cls)
+        e = self.hall_denominator_exponent(X, Y)
+        if e != self.rep.hom_dim(a, b):
+            raise InvariantError(
+                f"Hall exponent {e} of ({X}, {Y}) is not dim Hom({a.name}, {b.name})"
+            )
+        return self.module_fiber_counts(X, Y)
 
     def derived_hall_number(self, X: GradedObject, Y: GradedObject, L: GradedObject) -> Scalar:
         """|Ext^1(X,Y)_L| / (|Hom(X,Y)| * {X,Y}) as an exact scalar."""

@@ -1,9 +1,13 @@
 """The literal grammar: one tokenizer and one recursive-descent parser.
 
-Every literal the package reads is parsed here: scalars, graded objects,
+This module parses the algebraic literals: scalars, graded objects,
 basis elements of both algebras with their K parts, and elements.  A
 literal must be consumed to its last token; anything else raises
-ParseError.  Whitespace may separate any two tokens.
+ParseError.  Whitespace may separate any two tokens.  Three simpler texts
+are parsed where they are used: quiver literals by `Quiver.parse`,
+dimension bounds by the CLI's `_parse_bound`, and class sums such as
+'S1+P1' by `RepContext.class_by_name`, which re-splits the '+'-joined
+labels of each group it resolves.
 
     element  := '0' | ['-'] term (('+' | '-') term)*
     term     := (factor '*')* basis

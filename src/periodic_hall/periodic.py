@@ -11,8 +11,8 @@ position:
 
 where twist = sum_i < sum_k (-1)^k [A_{i+k}], [B_i] >.  The connecting
 classes and their integer terms n * q^-e / aut come from
-`DerivedContext.connecting_terms`; only the twist is computed here.  All
-connecting tuples share e = sum_i dim Hom(A_i, B_i), so the coefficient of
+`DerivedContext.connecting_terms`; only the twist is computed here.  The
+exponent e = sum_i dim Hom(A_i, B_i) is one per pair, so the coefficient of
 each output tuple M is summed in integers as sum n * (lcm(aut) / aut) over
 q^e * lcm(aut), and becomes one rational and one scalar.
 
@@ -28,7 +28,7 @@ from math import lcm
 
 from . import combo
 from .derived import DerivedContext
-from .errors import EvenPeriodError, InvariantError, ParseError
+from .errors import EvenPeriodError, ParseError
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,13 @@ class PeriodicAlgebra(combo.Algebra):
             alt = combo.alternating_sum(dims_a, i, range(m))
             twist += rep.euler(alt, dims_b[i])
 
-        # integer numerators over the common denominator q^e * lcm(aut), with
-        # e = sum_i hom(A_i, B_i) for every connecting tuple
+        # integer numerators over the common denominator q^e * lcm(aut); every
+        # connecting tuple carries the same e
         connecting = self.derived.connecting_terms(a.classes, b.classes)
         if not connecting:
             return {}
         q = self.field.q
         e = connecting[0][1]
-        if any(other != e for _, other, _, _ in connecting):
-            raise InvariantError(f"Hall exponents of {a} * {b} differ across tuples")
         den = lcm(*(aut for _, _, aut, _ in connecting))
         accum: dict = {}
         for _, _, aut, terms in connecting:

@@ -113,9 +113,11 @@ def associativity_sweep(
     rng,
     bound,
     max_degrees: int = 2,
-    with_k: bool = False,
     max_total: int | None = None,
 ) -> dict:
+    """(xy)z = x(yz) on sampled basis monomials; K parts are sampled exactly
+    when the algebra is an ExtendedAlgebra."""
+    with_k = isinstance(algebra, ExtendedAlgebra)
     failures = []
     for trial in range(samples):
         triple = []

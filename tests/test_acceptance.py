@@ -58,9 +58,7 @@ def test_criterion_2_associativity():
     for m in (1, 2, 3):
         rng = random.Random(1000 + m)
         algebra = ExtendedAlgebra(_derived_context("A2", 2), m)
-        report = suites.associativity_sweep(
-            algebra, 50, rng, (1, 1), max_degrees=2, with_k=True
-        )
+        report = suites.associativity_sweep(algebra, 50, rng, (1, 1), max_degrees=2)
         checked += report["checked"]
         if not report["passed"]:
             failures.append(("extended", m, report["failures"][:2]))
@@ -211,9 +209,7 @@ def test_criterion_8_even_period_guard():
     if ok:
         algebra = ExtendedAlgebra(d, 2)  # must not raise
         rng = random.Random(5000)
-        report = suites.associativity_sweep(
-            algebra, 50, rng, (1, 1), max_degrees=2, with_k=True
-        )
+        report = suites.associativity_sweep(algebra, 50, rng, (1, 1), max_degrees=2)
         if not report["passed"]:
             ok, detail = False, repr(report["failures"][:2])
     _announce(8, "even-period guard", ok, detail)

@@ -29,7 +29,7 @@ def test_a3_associativity():
         rep = suites.associativity_sweep(P, 8, rng, (1, 1, 1), max_total=1)
         assert rep["passed"], rep["failures"][:2]
     E = ExtendedAlgebra(d, 2)
-    rep = suites.associativity_sweep(E, 8, rng, (1, 1, 1), with_k=True, max_total=1)
+    rep = suites.associativity_sweep(E, 8, rng, (1, 1, 1), max_total=1)
     assert rep["passed"], rep["failures"][:2]
 
 

@@ -6,9 +6,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from periodic_hall.derived import ConeCounter, DerivedContext
-from periodic_hall.errors import ResourceLimitError
+from periodic_hall.errors import InvariantError, ResourceLimitError, UsageError
 from periodic_hall.extended import ExtendedAlgebra
 from periodic_hall.periodic import PeriodicAlgebra
 from periodic_hall.repcat import Quiver, RepContext
@@ -239,7 +241,8 @@ def test_resource_cap_on_chain_maps():
 
 
 def untabulated_hall_factors(d, A, B, I):
-    """hall_factors spelled out position by position, with no table."""
+    """The Hall factors of connecting_terms spelled out position by position,
+    with no table: {M: H(M; I_i[1] + A_i, B_i + I_{i-1}[-1]) / |Aut(I_i)|}."""
     m = len(A)
     factors = []
     for i in range(m):
@@ -254,52 +257,42 @@ def untabulated_hall_factors(d, A, B, I):
     return factors
 
 
-def rational_hall_factors(q, entries):
-    """The rational view {M: count * q^-e / aut} of hall_factors entries."""
-    if entries is None:
-        return None
-    return [
-        {cls: c * Fraction(q) ** -e / aut for cls, c in counts.items()}
-        for counts, e, aut in entries
-    ]
-
-
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("m", [1, 3])
 def test_hall_factor_table_matches_fresh_context(q, m, monkeypatch):
-    """Table entries equal an untabulated computation on a fresh context,
-    and every key, empty fibers included, fills the table exactly once."""
+    """Every position key that connecting_terms reaches, empty fibers
+    included, fills the table exactly once, with the module fiber counts of
+    a fresh context."""
     d = DerivedContext(RepContext(Quiver.parse("A2"), q))
     fresh = DerivedContext(d.rep)
     classes = d.rep.iso_classes_upto((1, 1))
-    calls = []
-    original = d.module_fiber_counts
+    fills = []
+    original = d._hall_fibers
 
-    def counting(X, Y):
-        calls.append((X, Y))
-        return original(X, Y)
+    def recording(a, b, i_cls, i_prev):
+        fiber = original(a, b, i_cls, i_prev)
+        fills.append(((a, b, i_cls, i_prev), fiber))
+        return fiber
 
-    monkeypatch.setattr(d, "module_fiber_counts", counting)
+    monkeypatch.setattr(d, "_hall_fibers", recording)
     rng = random.Random(10 * q + m)
     pairs = [
         (tuple(rng.choice(classes) for _ in range(m)), tuple(rng.choice(classes) for _ in range(m)))
-        for _ in range(3)
+        for _ in range(12)
     ]
-    seen_empty = False
     for A, B in pairs:
-        for I in product(classes, repeat=m):
-            got = d.hall_factors(A, B, I)
-            assert rational_hall_factors(d.q, got) == untabulated_hall_factors(
-                fresh, A, B, I
-            )
-            seen_empty |= got is None
-    assert seen_empty
-    assert len(calls) == len(d._hall_table)
-    filled = len(calls)
+        d.connecting_terms(A, B)
+    assert len({key for key, _ in fills}) == len(fills) == len(d._hall_table)
+    for (a, b, i_cls, i_prev), fiber in fills:
+        X = fresh.graded({1: i_cls, 0: a})
+        Y = fresh.graded({0: b, -1: i_prev})
+        assert fiber == fresh.module_fiber_counts(X, Y)
+    assert any(not fiber for _, fiber in fills)
+    filled = len(fills)
     for A, B in pairs:
-        for I in product(classes, repeat=m):
-            d.hall_factors(A, B, I)
-    assert len(calls) == filled
+        d._connecting_memo = None
+        d.connecting_terms(A, B)
+    assert len(fills) == filled
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -386,9 +379,9 @@ def test_connecting_memo_interleaved_with_both_twists():
 
 @pytest.mark.parametrize("quiver, q", [("A2", 2), ("A2", 3), ("2; 1->2, 1->2", 2)])
 def test_hall_exponent_is_hom_dim(dctx_factory, quiver, q):
-    """X = I[1] + A and Y = B + I'[-1] have no positive degree gaps, so each
-    Hall-table entry's e is hom(A, B) whatever I and I' are, and every
-    connecting tuple of a pair shares e = sum_i hom(A_i, B_i)."""
+    """X = I[1] + A and Y = B + I'[-1] have no positive degree gaps, so the
+    Hall exponent of every position key is hom(A, B) whatever I and I' are,
+    and every connecting tuple of a pair shares e = sum_i hom(A_i, B_i)."""
     d = dctx_factory(quiver, q)
     rep = d.rep
     classes = rep.iso_classes_upto((1, 1))
@@ -396,10 +389,10 @@ def test_hall_exponent_is_hom_dim(dctx_factory, quiver, q):
     for a, b in product(classes, repeat=2):
         for i_cls in rep.iso_classes_upto(b.dims):
             for i_prev in rep.iso_classes_upto(a.dims):
-                factor = d._hall_factor(a, b, i_cls, i_prev)
-                if factor is not None:
-                    nonempty += 1
-                    assert factor[1] == rep.hom_dim(a, b), (a, b, i_cls, i_prev)
+                X = d.graded({1: i_cls, 0: a})
+                Y = d.graded({0: b, -1: i_prev})
+                assert d.hall_denominator_exponent(X, Y) == rep.hom_dim(a, b)
+                nonempty += bool(d._hall_fibers(a, b, i_cls, i_prev))
     assert nonempty
     rng = random.Random(q)
     shared = 0  # pairs with more than one connecting tuple
@@ -410,3 +403,65 @@ def test_hall_exponent_is_hom_dim(dctx_factory, quiver, q):
         assert {e for _, e, _, _ in connecting} <= {sum(map(rep.hom_dim, A, B))}
         shared += len(connecting) > 1
     assert shared
+
+
+def test_hall_fill_rejects_exponent_other_than_hom_dim(monkeypatch):
+    """A fill whose generic Hall exponent is not hom(A_i, B_i) raises, even
+    though every connecting tuple of the pair would share the wrong one."""
+    d = DerivedContext(RepContext(Quiver.parse("A2"), 2))
+    original = d.hall_denominator_exponent
+    monkeypatch.setattr(d, "hall_denominator_exponent", lambda X, Y: original(X, Y) + 1)
+    P = PeriodicAlgebra(d, 3)
+    Z = d.rep.zero_class
+    a = P.basis([d.rep.class_by_name("S1"), Z, Z])
+    b = P.basis([d.rep.class_by_name("S2"), Z, Z])
+    with pytest.raises(InvariantError, match="Hall exponent"):
+        P.basis_product(a, b)
+
+
+def test_unknown_count_mode_is_rejected():
+    d = DerivedContext(RepContext(Quiver.parse("A2"), 2))
+    X = d.stalk(d.rep.class_by_name("S1"))
+    Y = d.stalk(d.rep.class_by_name("S2"))
+    with pytest.raises(UsageError, match="unknown count mode 'Quotient'"):
+        d.fiber_counts(X, Y, mode="Quotient")
+    with pytest.raises(UsageError, match="unknown count mode 'bogus'"):
+        partition_sweep(d, 1, mode="bogus")
+
+
+TRIANGLE = "3; 1->2, 2->3, 1->3"
+
+
+def test_triangle_projective_sees_two_paths():
+    """Two paths run from 1 to 3, so P1 is 2-dimensional at vertex 3."""
+    rep = RepContext(Quiver.parse(TRIANGLE), 2)
+    assert rep.class_by_name("P1").dims == (1, 1, 2)
+
+
+@st.composite
+def _small_quivers(draw):
+    """Literal of an acyclic quiver on at most 3 vertices with at most 3
+    arrows, repeated arrows allowed; four parallel arrows already trip the
+    default cap_dim in total mode at total dimension 1."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.permutations(range(1, n + 1)))  # arrows run forward
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    arrows = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    return f"{n}; " + ", ".join(f"{s}->{t}" for s, t in arrows)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_small_quivers())
+@example(TRIANGLE)
+def test_partition_identity_on_random_quivers(text):
+    """Over the graded objects of total dimension 1 at q = 2, quotient and
+    total counts agree and each fiber partition sums to |Hom(X, Y[1])|."""
+    d = DerivedContext(RepContext(Quiver.parse(text), 2))
+    objects = graded_objects_upto(d, 1)
+    for X in objects:
+        for Y in objects:
+            assert d.fiber_counts(X, Y, mode="quotient") == d.fiber_counts(
+                X, Y, mode="total"
+            ), (X, Y)
+    report = partition_sweep(d, 1)
+    assert report["passed"], report["failures"][:3]

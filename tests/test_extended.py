@@ -97,7 +97,7 @@ def test_associativity_all_periods(dctx_factory):
     for q in (2,):
         for m in (1, 2, 3):
             E = ExtendedAlgebra(dctx_factory("A2", q), m)
-            report = associativity_sweep(E, 12, rng, (1, 1), with_k=True)
+            report = associativity_sweep(E, 12, rng, (1, 1))
             assert report["passed"], (m, report["failures"][:2])
 
 

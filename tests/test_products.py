@@ -1,5 +1,6 @@
 """Basis products of both algebras against per-term oracles, the bounded
-product caches, and a pinned embedding sweep on the Kronecker quiver."""
+product caches, and embedding sweeps pinned by digest on the Kronecker
+quiver and on A2."""
 
 import hashlib
 import json
@@ -179,11 +180,20 @@ def test_product_caches_are_bounded(monkeypatch):
 # suite order; pinned before the product path shared its connecting pass.
 KRONECKER_PIN = (361, "1c71345818bf7e30630b2fef20ce192d8d0c69e19c01bd13865101c2306b67a6")
 
+# the same digest over two A2 sweeps at bound (1,1), keyed by (q, m,
+# max_degrees); pinned before the Hall table kept fiber counts only
+A2_PINS = {
+    (5, 3, 2): (3721, "6b50514f38679ade7fce932c3f9499fe1b8425edc95d9da824435faa68f22b19"),
+    (2, 5, 1): (441, "1983e882feff29bbfb33ad18b869b1d4fedb00f8fbe47ee99eb9126898139548"),
+}
 
-def test_kronecker_embedding_pinned():
-    emb = make_embedding(KRONECKER, 2, 3)
+
+def embedding_digest(quiver, q, m, max_degrees):
+    """(pairs, sha256) of phi(a b) over the bound-(1,1) sweep, each pair
+    checked to be a homomorphism on the way."""
+    emb = make_embedding(quiver, q, m)
     P = emb.periodic
-    elements = periodic_basis_elements(P, (1, 1), max_degrees=1)
+    elements = periodic_basis_elements(P, (1, 1), max_degrees=max_degrees)
     h = hashlib.sha256()
     pairs = 0
     for a in elements:
@@ -193,4 +203,13 @@ def test_kronecker_embedding_pinned():
             h.update(json.dumps(lhs.to_json(), separators=(",", ":")).encode())
             h.update(b"\n")
             pairs += 1
-    assert (pairs, h.hexdigest()) == KRONECKER_PIN
+    return pairs, h.hexdigest()
+
+
+def test_kronecker_embedding_pinned():
+    assert embedding_digest(KRONECKER, 2, 3, 1) == KRONECKER_PIN
+
+
+@pytest.mark.parametrize("q, m, max_degrees", sorted(A2_PINS))
+def test_a2_embedding_pinned(q, m, max_degrees):
+    assert embedding_digest("A2", q, m, max_degrees) == A2_PINS[(q, m, max_degrees)]
