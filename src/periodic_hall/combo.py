@@ -15,10 +15,12 @@ verification sweep, which visits each pair once, keeps its memory bounded.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import literal
 from .errors import UsageError
 from .repcat import IsoClass
-from .scalar import join_signed
+from .scalar import Scalar, join_signed
 
 # Basis products an algebra keeps; more than twice the pairs of the
 # largest benchmark sub-sweep, so a warm pass never evicts.
@@ -102,7 +104,12 @@ class Element:
         return self.__rmul__(other)
 
     def __rmul__(self, scalar):
-        # scalar * element (elements multiply via __mul__)
+        # scalar * element (elements multiply via __mul__); a rational lifts
+        # into the field as in `Scalar._check`
+        if isinstance(scalar, (int, Fraction)):
+            scalar = self.algebra.field.from_rational(scalar)
+        elif not isinstance(scalar, Scalar):
+            return NotImplemented
         if scalar.is_zero():
             return Element(self.algebra, {})
         return Element(self.algebra, {b: scalar * s for b, s in self.terms.items()})

@@ -13,12 +13,18 @@ mod m) and cancels the boundary term, while the alternating k-sum is
 empty; the formula then collapses to the plain m = 1 assignment
 u_M -> u_M K_{-1/2 [M]}.
 
+Each image keeps its exponent as the integer `units`, so phi scales by
+t^units through `Scalar.times_t` and never through a generic product.
+
 `verify_homomorphism` checks phi(u_a u_b) = phi(u_a) phi(u_b) on basis
-elements: the left side maps each term of the periodic basis product
-u_a u_b under phi, the right side scales the extended basis product of the
-two images by their phi scalars, and the two term dicts are compared
-exactly.  The two products come from the two independent multiplication
-pipelines; no element-level multiplication is involved.
+elements.  A term s u_M of the periodic basis product u_a u_b maps to
+s t^units(M) on phi(u_M); the extended basis product of the two images
+carries t^(units(a) + units(b)).  Since t is invertible, the two sides
+agree on a basis element exactly when s t^(units(M) - units(a) - units(b))
+equals the extended coefficient there, so each term costs one exact
+t-shift and one dict lookup.  The two products come from the two
+independent multiplication pipelines; no element-level multiplication is
+involved.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ from .scalar import Scalar
 
 @dataclass(frozen=True)
 class PhiImage:
-    """phi(basis) = scalar * basis; the scalar is a nonzero t-power."""
+    """phi(basis) = t^units * basis; scalar is t^units as a `Scalar`."""
 
+    units: int
     scalar: Scalar
     basis: ExtendedBasisElement
 
@@ -78,18 +85,20 @@ class Embedding:
     def _phi_basis(self, b: PeriodicObject) -> PhiImage:
         m = self.m
         dims = [cls.dims for cls in b.classes]
-        scalar = self.field.v_power(phi_exponent_t_units(dims, m, self.rep.euler))
+        units = phi_exponent_t_units(dims, m, self.rep.euler)
         alphas = [
             tuple(-t for t in alternating_sum(dims, i + 1, range(m)))
             for i in range(m)
         ]
-        return PhiImage(scalar, self.extended.basis(b.classes, alphas))
+        return PhiImage(
+            units, self.field.v_power(units), self.extended.basis(b.classes, alphas)
+        )
 
     def phi(self, element: Element) -> Element:
         terms: dict = {}
         for basis, s in element.terms.items():
             image = self.phi_basis(basis)
-            add_term(terms, image.basis, s * image.scalar)
+            add_term(terms, image.basis, s.times_t(image.units))
         return self.extended.element(terms)
 
     # -- verification -------------------------------------------------------
@@ -98,21 +107,27 @@ class Embedding:
         """Compare phi(a b) with phi(a) phi(b) on basis products.
 
         phi sends distinct basis elements to distinct basis elements, and
-        every phi scalar is a nonzero t-power, so both sides are read off
-        the two cached basis products term by term.
+        every phi scalar is a t-power, so both sides are read off the two
+        cached basis products term by term.  The left side keeps each
+        periodic coefficient s with the exponent units(M) of its image; it
+        equals the extended coefficient c of phi(a) phi(b) at that image
+        exactly when s t^(units(M) - units(a) - units(b)) == c.  With equal
+        term counts, that is dict equality of the two scaled sides.  Only a
+        failing check scales both sides, to report the first difference.
         """
+        phi = self.phi_basis
         lhs = {}
         for basis, s in self.periodic.basis_product(a, b).items():
-            image = self.phi_basis(basis)
-            lhs[image.basis] = s * image.scalar
-        image_a = self.phi_basis(a)
-        image_b = self.phi_basis(b)
-        c = image_a.scalar * image_b.scalar
-        rhs = {
-            basis: c * s
-            for basis, s in self.extended.basis_product(image_a.basis, image_b.basis).items()
-        }
-        equal = lhs == rhs
+            image = phi(basis)
+            lhs[image.basis] = (s, image.units)
+        image_a = phi(a)
+        image_b = phi(b)
+        rhs = self.extended.basis_product(image_a.basis, image_b.basis)
+        shift = image_a.units + image_b.units
+        equal = len(lhs) == len(rhs) and all(
+            s.times_t(units - shift) == rhs.get(basis)
+            for basis, (s, units) in lhs.items()
+        )
         report = {
             "pair": [str(a), str(b)],
             "equal": equal,
@@ -120,7 +135,11 @@ class Embedding:
             "rhs_terms": len(rhs),
         }
         if not equal:
-            report["first_diff"] = self._first_diff(lhs, rhs, self.field)
+            report["first_diff"] = self._first_diff(
+                {basis: s.times_t(units) for basis, (s, units) in lhs.items()},
+                {basis: s.times_t(shift) for basis, s in rhs.items()},
+                self.field,
+            )
         return report
 
     @staticmethod

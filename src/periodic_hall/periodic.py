@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from . import combo
@@ -44,11 +45,16 @@ class PeriodicObject:
     def sort_key(self):
         return tuple(c.sort_key() for c in self.classes)
 
-    def __str__(self):
+    @cached_property
+    def _text(self) -> str:
+        # built once: sweep reports print every operand pair
         parts = [
             f"{cls.name}@{i}" for i, cls in enumerate(self.classes) if not cls.is_zero
         ]
         return "[" + (" + ".join(parts) or "0") + "]"
+
+    def __str__(self):
+        return self._text
 
     __repr__ = __str__
 

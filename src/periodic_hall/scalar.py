@@ -10,7 +10,9 @@ Scalars are immutable.  Coefficients are stored sparsely as a map
 basis elements only ever produce rational multiples of a single t-power,
 so the sparse form keeps the hot arithmetic path cheap.  Every builder of
 such a multiple (`from_rational`, `v_power`, `q_power`) goes through
-`ScalarField.term`, which builds c * t^n in one step.
+`ScalarField.term`, which builds c * t^n in one step.  `Scalar.times_t(n)`
+multiplies any scalar by t^n without a generic product: each coefficient
+moves n degrees up, and both fold t^8 = q through one helper.
 
 The field is a tower of three quadratic (Kummer) steps,
 Q(t) > Q(t^2) > Q(t^4) > Q, and `Scalar.inverse` walks down it in closed
@@ -79,12 +81,17 @@ class ScalarField:
             c = Fraction(c)
         if not c:
             return self._zero
+        r, c = self._fold(c, n)
+        return Scalar(self, {r: c})
+
+    def _fold(self, c: Fraction, n: int) -> tuple:
+        """(r, c * q^k) for c * t^n with n = 8k + r and 0 <= r < 8, since t^8 = q."""
         k, r = divmod(n, _DEG)
         if k > 0:
             c *= self.q**k
         elif k < 0:
             c /= self.q**-k
-        return Scalar(self, {r: c})
+        return r, c
 
     def q_power(self, n: int) -> "Scalar":
         return self.term(1, _DEG * n)
@@ -189,6 +196,21 @@ class Scalar:
 
     __rmul__ = __mul__
 
+    def times_t(self, n: int) -> "Scalar":
+        """self * t^n, exactly: the coefficient at degree j moves to j + n.
+
+        Distinct degrees stay distinct mod 8, so no two coefficients meet;
+        each one only folds t^8 = q as `ScalarField.term` does.
+        """
+        field = self.field
+        if len(self._c) == 1:
+            # monomial fast path: the shape of every basis-product coefficient
+            ((j, c),) = self._c.items()
+            r, c = field._fold(c, j + n)
+            return Scalar(field, {r: c})
+        fold = field._fold
+        return Scalar(field, dict(fold(c, j + n) for j, c in self._c.items()))
+
     def inverse(self) -> "Scalar":
         """Field inverse down the Kummer tower Q(t) > Q(t^2) > Q(t^4) > Q.
 
@@ -220,15 +242,16 @@ class Scalar:
         return other * self.inverse()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return False
             other = self.field.from_rational(other)
-        return (
-            isinstance(other, Scalar)
-            and other.field.q == self.field.q
-            and other._c == self._c
-        )
+        return other.field.q == self.field.q and other._c == self._c
 
     def __hash__(self):
+        # equal to a rational exactly when only degree 0 is stored: hash as it
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, 0))
         return hash((self.field.q, tuple(sorted(self._c.items()))))
 
     def __bool__(self):

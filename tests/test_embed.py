@@ -237,7 +237,7 @@ def test_wrong_phi_is_caught(a2_q2, monkeypatch, wrong):
     def off_by_v(basis):
         image = original(basis)
         if basis == target:
-            return PhiImage(image.scalar * v, image.basis)
+            return PhiImage(image.units + 4, image.scalar * v, image.basis)
         return image
 
     monkeypatch.setattr(emb, "phi_basis", off_by_v)
@@ -271,3 +271,85 @@ def test_basis_check_matches_element_oracle(a2_q2):
             assert report["equal"]
             assert report["lhs_terms"] == len(lhs.terms)
             assert report["rhs_terms"] == len(rhs.terms)
+
+
+def reference_report(emb, a, b) -> dict:
+    """The check as first written: both sides scaled by generic products."""
+    lhs = {}
+    for basis, s in emb.periodic.basis_product(a, b).items():
+        image = emb.phi_basis(basis)
+        lhs[image.basis] = s * image.scalar
+    image_a, image_b = emb.phi_basis(a), emb.phi_basis(b)
+    c = image_a.scalar * image_b.scalar
+    product = emb.extended.basis_product(image_a.basis, image_b.basis)
+    rhs = {basis: c * s for basis, s in product.items()}
+    report = {
+        "pair": [str(a), str(b)],
+        "equal": lhs == rhs,
+        "lhs_terms": len(lhs),
+        "rhs_terms": len(rhs),
+    }
+    if lhs != rhs:
+        report["first_diff"] = Embedding._first_diff(lhs, rhs, emb.field)
+    return report
+
+
+def test_report_matches_generic_product_reference(a2_q3, monkeypatch):
+    """Every report of A2 bound (1,1) at q=3, m=3 equals the reference built
+    with generic scalar products, before and after a fault in phi that makes
+    part of the pairs fail and print their first difference."""
+    emb = make_embedding(a2_q3, 3)
+    elements = periodic_basis_elements(emb.periodic, (1, 1))
+    for a in elements:
+        for b in elements:
+            assert emb.verify_homomorphism(a, b) == reference_report(emb, a, b)
+
+    # off by t^3 on every image with a nonzero class at degree 1
+    original = emb.phi_basis
+    t3 = emb.field.v_power(3)
+
+    def shifted(basis):
+        image = original(basis)
+        if basis.classes[1].is_zero:
+            return image
+        return PhiImage(image.units + 3, image.scalar * t3, image.basis)
+
+    monkeypatch.setattr(emb, "phi_basis", shifted)
+    failed = 0
+    for a in elements:
+        for b in elements:
+            report = emb.verify_homomorphism(a, b)
+            assert report == reference_report(emb, a, b)
+            failed += not report["equal"]
+            assert ("first_diff" in report) is not report["equal"]
+    assert 0 < failed < len(elements) ** 2
+
+
+def test_colliding_images_fail_the_check(a2_q2, monkeypatch):
+    """Two periodic product terms sent to one extended basis element are
+    caught, although the check compares coefficients one key at a time."""
+    emb = make_embedding(a2_q2, 3)
+    P = emb.periodic
+    ctx = emb.rep
+    Z = ctx.zero_class
+    a = P.basis([ctx.class_by_name("S1"), Z, Z])
+    b = P.basis([ctx.class_by_name("S2"), Z, Z])
+    # u_{S1@0} u_{S2@0} has the terms [P1@0] and [S1+S2@0]
+    p1 = P.basis([ctx.class_by_name("P1"), Z, Z])
+    split = P.basis([ctx.class_by_name("S1+S2"), Z, Z])
+    assert set(P.basis_product(a, b)) == {p1, split}
+    assert emb.verify_homomorphism(a, b)["equal"]
+    original = emb.phi_basis
+
+    def collide(basis):
+        image = original(basis)
+        if basis == p1:
+            return PhiImage(image.units, image.scalar, original(split).basis)
+        return image
+
+    monkeypatch.setattr(emb, "phi_basis", collide)
+    report = emb.verify_homomorphism(a, b)
+    assert report["equal"] is False
+    assert (report["lhs_terms"], report["rhs_terms"]) == (1, 2)
+    assert report == reference_report(emb, a, b)
+    assert report["first_diff"]["basis"] == str(original(p1).basis)

@@ -1,6 +1,7 @@
 """The odd-periodic derived Hall algebra."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -181,6 +182,28 @@ def test_element_arithmetic_and_equality(a2_q2):
     assert combo == x * v
     assert (x - x).is_zero()
     assert x * P.field.zero == P.element({})
+
+
+def test_element_times_rational(a2_q2):
+    P = algebra(a2_q2, 3)
+    ctx = P.rep
+    Z = ctx.zero_class
+    x = P.monomial(P.basis([ctx.class_by_name("S1"), Z, Z]))
+    y = P.monomial(P.basis([Z, ctx.class_by_name("S2"), Z]))
+    el = x * P.field.v_power(3) + y
+    two = P.field.from_rational(2)
+    assert 2 * el == el * 2 == two * el == el + el
+    half = Fraction(1, 2)
+    assert half * el == el * half == P.field.from_rational(half) * el
+    assert (half * el) * 2 == el
+    for zero in (0, Fraction(0)):
+        assert (zero * el).is_zero() and (el * zero).is_zero()
+        assert zero * el == P.element({})
+    for other in ("2", 2.0, None):
+        with pytest.raises(TypeError):
+            other * el
+        with pytest.raises(TypeError):
+            el * other
 
 
 def test_parse_and_print_roundtrip(a2_q2):

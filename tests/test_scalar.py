@@ -203,3 +203,51 @@ def test_term_matches_power_times_rational(q):
     for n in range(-20, 21):
         assert f.term(0, n).is_zero()
         assert f.term(Fraction(0), n) == f.zero
+
+
+# at least two nonzero coefficients: never a monomial, so times_t cannot
+# lean on the single-term shape that every basis product produces
+_non_monomial = st.dictionaries(
+    st.integers(0, 7),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+    min_size=2,
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    st.sampled_from((2, 3, 5, 7, 11)),
+    _non_monomial,
+    st.integers(-40, 40),
+    st.integers(-40, 40),
+)
+def test_times_t_is_exact_t_power_product(q, coeffs, a, b):
+    f = ScalarField(q)
+    s = f.scalar(coeffs)
+    assert s.as_monomial() is None
+    for n in (a, b):
+        assert s.times_t(n) == s * f.v_power(n)
+        assert s.times_t(n).to_strings() == (s * f.v_power(n)).to_strings()
+        assert f.zero.times_t(n).is_zero()
+    assert s.times_t(a).times_t(b) == s.times_t(a + b)
+    # a single term of s takes the monomial path
+    j, c = next(iter(coeffs.items()))
+    assert f.term(c, j).times_t(a) == f.term(c, j + a) == f.term(c, j) * f.v_power(a)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_hash_agrees_with_equality(q):
+    f = ScalarField(q)
+    for c in (0, 1, -1, q, Fraction(-3, 7)):
+        s = f.from_rational(c)
+        assert s == c and hash(s) == hash(c) == hash(Fraction(c))
+        assert len({s, c}) == 1
+    assert len({f.from_rational(1), 1}) == 1
+    assert len({f.zero, 0, Fraction(0)}) == 1
+    assert {f.one: "one"}[1] == "one"
+    # equal scalars built by different paths hash alike
+    assert hash(f.v_power(8)) == hash(f.from_rational(q)) == hash(q)
+    t = f.v_power(1)
+    assert t != 1 and hash(t) == hash(f.scalar({1: 1}))
+    assert len({t, f.scalar([0, 1]), f.q_power(1), q}) == 2
