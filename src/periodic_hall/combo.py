@@ -4,22 +4,24 @@
 algebra.  `Algebra` holds everything DH_m and DH^e_m do alike: the period
 check, element builders, the bilinear extension of the basis product and
 the reading of element and basis literals through `literal`.  Each
-subclass supplies `basis`, `basis_product` (its own product twist) and
-`_literal_basis`, which turns the parsed pieces of a basis literal into
-its basis element.
+subclass supplies `_basis_type`, `basis`, `basis_product` (its own product
+twist) and `_literal_basis`, which turns the parsed pieces of a basis
+literal into its basis element.  Every class in a basis element must be
+one that the algebra's own `RepContext` interned.
 
 Each algebra caches its basis products.  The cache holds at most
-`PRODUCT_CACHE_SIZE` entries and evicts the oldest first, so a long
-verification sweep, which visits each pair once, keeps its memory bounded.
+`PRODUCT_CACHE_SIZE` entries and evicts the oldest first, in constant time
+per insert, so a long verification sweep, which visits each pair once,
+keeps its memory bounded.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 
 from . import literal
 from .errors import UsageError
-from .repcat import IsoClass
 from .scalar import Scalar, join_signed
 
 # Basis products an algebra keeps; more than twice the pairs of the
@@ -143,7 +145,7 @@ class Algebra:
         self.rep = derived.rep
         self.field = derived.field
         self.m = m
-        self._product_cache: dict = {}
+        self._product_cache: OrderedDict = OrderedDict()
 
     # -- element builders -----------------------------------------------------
 
@@ -156,8 +158,9 @@ class Algebra:
 
     def element(self, terms: dict) -> Element:
         for b in terms:
-            if b.m != self.m:
-                raise UsageError("basis element has the wrong period")
+            if not isinstance(b, self._basis_type):
+                raise UsageError(f"{b} is not a basis element of this algebra")
+            self._check_classes(b.classes)
         return Element(self, terms)
 
     def monomial(self, basis) -> Element:
@@ -171,9 +174,8 @@ class Algebra:
         classes = tuple(classes)
         if len(classes) != self.m:
             raise UsageError(f"expected {self.m} classes, got {len(classes)}")
-        for cls in classes:
-            if not isinstance(cls, IsoClass):
-                raise UsageError("basis entries must be IsoClass values")
+        for i, cls in enumerate(classes):
+            self.rep._check_class(cls, f"at position {i}")
         return classes
 
     def _module_classes(self, entries) -> list:
@@ -191,7 +193,7 @@ class Algebra:
         """Store a basis product, first evicting the oldest if the cache is full."""
         cache = self._product_cache
         if len(cache) >= PRODUCT_CACHE_SIZE:
-            del cache[next(iter(cache))]
+            cache.popitem(last=False)
         cache[key] = product
         return product
 

@@ -7,10 +7,13 @@ Ext^1 between the pieces.
 
 Morphisms are modeled concretely on complexes of projectives.  A stalk
 M[i] is replaced by its minimal projective resolution (length at most one),
-placed in cohomological degrees -i-1, -i; maps X -> Y[1] are genuine chain
-maps between those complexes, and the cone of a chain map is the literal
-mapping cone, whose homology is read off and classified degree by degree.
-Syzygies and homology use the subquotient routines of `repcat`.
+placed in cohomological degrees -i-1, -i, with the syzygy inclusion signed
+(-1)^i.  Maps X -> Y[1] are genuine chain maps from the resolution of X to
+the resolution of the shifted graded object Y[1], and the cone of a chain
+map is the literal mapping cone, whose homology is read off and classified
+degree by degree.  Syzygies and homology use the subquotient routines of
+`repcat`.  Every class in a graded object must be one that the context's
+own `RepContext` interned.
 
 The extension-fiber counter enumerates morphisms f: X -> Y[1] and tallies
 them by the class L with cone(f) = L[1].  Counting runs either over a
@@ -94,9 +97,6 @@ class ProjComplex:
             n: d for n, d in diffs.items() if n in self.terms and n + 1 in self.terms
         }
 
-    def support(self):
-        return sorted(self.terms)
-
     def term(self, n: int) -> Rep:
         rep = self.terms.get(n)
         if rep is None:
@@ -113,12 +113,6 @@ class ProjComplex:
                 for v in range(self.ctx.quiver.n)
             )
         return d
-
-    def shift(self, k: int) -> "ProjComplex":
-        """C[k]: term n becomes old term n+k; odd shifts flip the differential."""
-        terms = {n - k: rep for n, rep in self.terms.items()}
-        diffs = {n - k: _signed(d, k, self.ctx.q) for n, d in self.diffs.items()}
-        return ProjComplex(self.ctx, terms, diffs)
 
 
 def _signed(mats, k: int, q: int) -> tuple:
@@ -215,7 +209,7 @@ class ConeCounter:
         self.X = X
         self.Y = Y
         self.C = dctx.resolution(X)
-        self.D = dctx.resolution(Y).shift(1)
+        self.D = dctx.resolution(Y.shift(1))
         self._setup_spaces()
         self.cone = _Cone(self.C, self.D, self.layout)
 
@@ -355,8 +349,7 @@ class DerivedContext:
             entries = entries.items()
         cleaned = []
         for deg, cls in entries:
-            if not isinstance(cls, IsoClass):
-                raise UsageError(f"expected IsoClass at degree {deg}")
+            self.rep._check_class(cls, f"at degree {deg}")
             if not cls.is_zero:
                 cleaned.append((int(deg), cls))
         cleaned.sort(key=lambda item: item[0])
@@ -367,9 +360,6 @@ class DerivedContext:
 
     def stalk(self, cls: IsoClass, degree: int = 0) -> GradedObject:
         return self.graded([(degree, cls)])
-
-    def zero_object(self) -> GradedObject:
-        return GradedObject(())
 
     def parse_graded(self, text: str) -> GradedObject:
         """Literals like 'S1@0 + P1@2', class sums grouped as 'S1+S2@0'; the
@@ -400,9 +390,6 @@ class DerivedContext:
                 if gap > 1:
                     total += (-1) ** (gap - 1) * self.rep.ext_dim(a, b)
         return total
-
-    def brace_factor(self, X: GradedObject, Y: GradedObject) -> Scalar:
-        return self.field.q_power(self.brace_exponent(X, Y))
 
     def hall_denominator_exponent(self, X: GradedObject, Y: GradedObject) -> int:
         """e with H^L = |fiber| * q^-e: collects |Hom(X, Y)| and the brace."""
@@ -487,10 +474,6 @@ class DerivedContext:
                 cached = direct_sum_complexes(cached, self._stalk_complex(cls, i))
             self._res_cache[X.entries] = cached
         return cached
-
-    def complex_homology(self, cpx: ProjComplex) -> GradedObject:
-        """Classes of the homology of a complex, as a graded object."""
-        return _graded_homology(self.rep, cpx.terms, cpx.diffs, 0)
 
     # -- cones and fibers -----------------------------------------------------
 

@@ -13,8 +13,10 @@ mod m) and cancels the boundary term, while the alternating k-sum is
 empty; the formula then collapses to the plain m = 1 assignment
 u_M -> u_M K_{-1/2 [M]}.
 
-Each image keeps its exponent as the integer `units`, so phi scales by
-t^units through `Scalar.times_t` and never through a generic product.
+Each image is a `PhiImage` (units, basis): the exponent as an integer and
+the extended basis element.  phi scales by t^units through
+`Scalar.times_t` and never through a generic product.  The image keeps
+the module tuple, so phi is injective on basis elements by construction.
 
 `verify_homomorphism` checks phi(u_a u_b) = phi(u_a) phi(u_b) on basis
 elements.  A term s u_M of the periodic basis product u_a u_b maps to
@@ -35,15 +37,13 @@ from .combo import Element, add_term, alternating_sum
 from .errors import UsageError
 from .extended import ExtendedAlgebra, ExtendedBasisElement, convention_range
 from .periodic import PeriodicAlgebra, PeriodicObject
-from .scalar import Scalar
 
 
 @dataclass(frozen=True)
 class PhiImage:
-    """phi(basis) = t^units * basis; scalar is t^units as a `Scalar`."""
+    """phi(basis) = t^units * basis."""
 
     units: int
-    scalar: Scalar
     basis: ExtendedBasisElement
 
 
@@ -90,9 +90,7 @@ class Embedding:
             tuple(-t for t in alternating_sum(dims, i + 1, range(m)))
             for i in range(m)
         ]
-        return PhiImage(
-            units, self.field.v_power(units), self.extended.basis(b.classes, alphas)
-        )
+        return PhiImage(units, self.extended.basis(b.classes, alphas))
 
     def phi(self, element: Element) -> Element:
         terms: dict = {}

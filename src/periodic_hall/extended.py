@@ -81,6 +81,8 @@ class ExtendedBasisElement:
 class ExtendedAlgebra(combo.Algebra):
     """DH^e_m over a fixed quiver and prime; accepts every period m >= 1."""
 
+    _basis_type = ExtendedBasisElement
+
     def __init__(self, derived, m: int):
         super().__init__(derived, m)
         self._tuple_table: dict = {}  # connecting tuple I -> _tuple_data(I)

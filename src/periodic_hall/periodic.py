@@ -62,6 +62,8 @@ class PeriodicObject:
 class PeriodicAlgebra(combo.Algebra):
     """DH_m over a fixed quiver, prime and odd period."""
 
+    _basis_type = PeriodicObject
+
     def __init__(self, derived: DerivedContext, m: int):
         super().__init__(derived, m)
         if m % 2 == 0:
@@ -74,10 +76,6 @@ class PeriodicAlgebra(combo.Algebra):
     def basis(self, classes) -> PeriodicObject:
         classes = self._check_classes(classes)
         return PeriodicObject(classes)
-
-    def basis_from_degrees(self, entries: dict) -> PeriodicObject:
-        """{degree: class} with degrees reduced mod m; collisions direct-sum."""
-        return self.basis(self._module_classes(entries.items()))
 
     # -- multiplication ---------------------------------------------------------
 

@@ -425,6 +425,13 @@ class RepContext:
         )
         return tuple(sorted(merged.items(), key=order))
 
+    def _check_class(self, cls, where: str) -> None:
+        """UsageError unless cls is a class this context interned."""
+        if not isinstance(cls, IsoClass):
+            raise UsageError(f"expected an IsoClass {where}")
+        if self._classes.get(cls.key) is not cls:
+            raise UsageError(f"class {cls.name} {where} belongs to another context")
+
     def direct_sum_class(self, a: IsoClass, b: IsoClass) -> IsoClass:
         return self._intern(self._sorted_key(a.key + b.key))
 
@@ -714,9 +721,6 @@ class RepContext:
             )
         return e
 
-    def hom_ext_dim(self, M: IsoClass, N: IsoClass) -> tuple:
-        return self.hom_dim(M, N), self.ext_dim(M, N)
-
     def hom_basis(self, repM: Rep, repN: Rep) -> list:
         """Basis of Hom(M, N) as tuples of per-vertex matrices."""
         layout, rows = self._hom_system(repM, repN)
@@ -746,15 +750,6 @@ class RepContext:
                     break
             if ok:
                 yield coeffs
-
-    def is_isomorphic(self, repA: Rep, repB: Rep) -> bool:
-        """Exhaustive invertible-intertwiner search; independent of orbits."""
-        if repA.dims != repB.dims:
-            return False
-        if not any(repA.dims):
-            return True
-        maps = self._invertible_maps(self.hom_basis(repA, repB), repA.dims, "Hom")
-        return next(maps, None) is not None
 
     def aut_count(self, M: IsoClass) -> int:
         """|Aut M|, enumerated for 0 and indecomposables.  For M = sum_i X_i^{m_i}
@@ -866,22 +861,3 @@ class RepContext:
                 )
             mats.append(coords[-dims[t] :])  # the part past the image
         return Rep(dims, tuple(mats))
-
-    # -- misc -------------------------------------------------------------------
-
-    def random_base_change(self, rep: Rep, rng) -> Rep:
-        """Random isomorphic copy of rep (for invariance tests)."""
-        q = self.q
-        gs = []
-        for d in rep.dims:
-            while True:
-                g = [[rng.randrange(q) for _ in range(d)] for _ in range(d)]
-                if d == 0 or linalg.is_invertible(g, q):
-                    gs.append(g)
-                    break
-        out = []
-        for idx, (s, t) in enumerate(self.quiver.arrows):
-            ginv_t = [list(col) for col in zip(*linalg.inverse(gs[s], q))]
-            # g_t m g_s^-1, where mul_t(ginv_t, m) is (m g_s^-1)^T
-            out.append(linalg.mul_t(gs[t], linalg.mul_t(ginv_t, rep.mats[idx], q), q))
-        return Rep(rep.dims, tuple(out))

@@ -89,24 +89,6 @@ def embedding_sweep(embedding: Embedding, bound, max_degrees: int = 2) -> dict:
     )
 
 
-def injectivity_sweep(embedding: Embedding, bound, max_degrees: int = 2) -> dict:
-    """Structural injectivity: distinct basis -> nonzero scalar, distinct image."""
-    elements = periodic_basis_elements(embedding.periodic, bound, max_degrees)
-    failures = []
-    seen = {}
-    for b in elements:
-        image = embedding.phi_basis(b)
-        mono = image.scalar.as_monomial()
-        if image.scalar.is_zero() or mono is None:
-            failures.append({"basis": str(b), "reason": "scalar not a t-power"})
-        if image.basis in seen:
-            failures.append(
-                {"basis": str(b), "collides_with": str(seen[image.basis])}
-            )
-        seen[image.basis] = b
-    return _report("injectivity", len(elements), failures)
-
-
 def associativity_sweep(
     algebra,
     samples: int,

@@ -16,7 +16,6 @@ from periodic_hall.extended import ExtendedAlgebra
 from periodic_hall.periodic import PeriodicAlgebra
 from periodic_hall.suites import (
     embedding_sweep,
-    injectivity_sweep,
     periodic_basis_elements,
     sample_module_tuple,
 )
@@ -62,12 +61,43 @@ def test_operands_from_different_algebras_rejected(a2_q2):
     assert P.unit() != other.unit()
 
 
+def test_classes_of_another_context_rejected(a2_q2, dctx_factory):
+    """S1 and S2 of the quiver 2 -> 1 are not the A2 classes of those names:
+    an algebra over A2 refuses them, in a basis element and in an element."""
+    other = dctx_factory("2; 2->1", 2)
+    S1, S2 = (other.rep.class_by_name(name) for name in ("S1", "S2"))
+    P = PeriodicAlgebra(a2_q2, 1)
+    E = ExtendedAlgebra(a2_q2, 1)
+    foreign = PeriodicAlgebra(other, 1)
+    cases = [
+        lambda: P.basis([S1]),
+        lambda: P.basis([other.rep.zero_class]),
+        lambda: E.basis([S2]),
+        lambda: P.element({foreign.basis([S1]): P.field.one}),
+    ]
+    for case in cases:
+        with pytest.raises(UsageError, match="another context"):
+            case()
+    # the product that used to read the classes by their A2 names
+    a, b = foreign.monomial(foreign.basis([S1])), foreign.monomial(foreign.basis([S2]))
+    assert str(foreign.multiply(a, b)) == "[S1+S2@0]"
+
+
+def test_basis_of_the_other_algebra_rejected(a2_q2):
+    P = PeriodicAlgebra(a2_q2, 1)
+    E = ExtendedAlgebra(a2_q2, 1)
+    S1 = a2_q2.rep.class_by_name("S1")
+    for algebra, basis in ((P, E.basis([S1])), (E, P.basis([S1]))):
+        with pytest.raises(UsageError, match="not a basis element of this algebra"):
+            algebra.element({basis: algebra.field.one})
+
+
 def test_phi_m1(a1_q2):
     emb = make_embedding(a1_q2, 1)
     ctx = emb.rep
     S = ctx.class_by_name("S1")
     image = emb.phi_basis(emb.periodic.basis([S]))
-    assert image.scalar == emb.field.one
+    assert image.units == 0
     assert image.basis.classes == (S,)
     assert image.basis.alphas == ((-1,),)  # doubled -1/2 per unit of [S]
 
@@ -75,7 +105,7 @@ def test_phi_m1(a1_q2):
 def test_phi_unit(a2_q2):
     emb = make_embedding(a2_q2, 3)
     image = emb.phi_basis(emb.periodic.unit_basis)
-    assert image.scalar == emb.field.one
+    assert image.units == 0
     assert image.basis == emb.extended.unit_basis
 
 
@@ -85,7 +115,7 @@ def test_phi_m3_frozen_example(a2_q2):
     ctx = emb.rep
     Z = ctx.zero_class
     image = emb.phi_basis(emb.periodic.basis([ctx.class_by_name("S1"), Z, Z]))
-    assert image.scalar == emb.field.v_power(-3)
+    assert image.units == -3
     assert image.basis.alphas == ((-1, 0), (1, 0), (-1, 0))
     assert image.basis.classes[0].name == "S1"
 
@@ -178,9 +208,11 @@ def test_identity_3_2_fails_for_even_m_data():
 
 
 def test_injectivity_structure(a2_q2):
+    """phi sends distinct basis elements to distinct basis elements."""
     emb = make_embedding(a2_q2, 3)
-    report = injectivity_sweep(emb, (1, 1), max_degrees=2)
-    assert report["passed"], report["failures"][:3]
+    elements = periodic_basis_elements(emb.periodic, (1, 1), max_degrees=2)
+    images = {emb.phi_basis(b).basis for b in elements}
+    assert len(images) == len(elements) > 1
 
 
 def test_embedding_sweep_m1(dctx_factory):
@@ -232,12 +264,11 @@ def test_wrong_phi_is_caught(a2_q2, monkeypatch, wrong):
         target = P.basis([ctx.class_by_name("P1"), Z, Z])
         assert target in P.basis_product(a, b)
     original = emb.phi_basis
-    v = emb.field.v_power(4)
 
     def off_by_v(basis):
         image = original(basis)
         if basis == target:
-            return PhiImage(image.units + 4, image.scalar * v, image.basis)
+            return PhiImage(image.units + 4, image.basis)
         return image
 
     monkeypatch.setattr(emb, "phi_basis", off_by_v)
@@ -263,7 +294,7 @@ def test_basis_check_matches_element_oracle(a2_q2):
         for b in elements:
             lhs = emb.phi(P.multiply(P.monomial(a), P.monomial(b)))
             image_a, image_b = emb.phi_basis(a), emb.phi_basis(b)
-            rhs = (image_a.scalar * image_b.scalar) * E.multiply(
+            rhs = emb.field.v_power(image_a.units + image_b.units) * E.multiply(
                 E.monomial(image_a.basis), E.monomial(image_b.basis)
             )
             assert lhs == rhs, (a, b)
@@ -278,9 +309,9 @@ def reference_report(emb, a, b) -> dict:
     lhs = {}
     for basis, s in emb.periodic.basis_product(a, b).items():
         image = emb.phi_basis(basis)
-        lhs[image.basis] = s * image.scalar
+        lhs[image.basis] = s * emb.field.v_power(image.units)
     image_a, image_b = emb.phi_basis(a), emb.phi_basis(b)
-    c = image_a.scalar * image_b.scalar
+    c = emb.field.v_power(image_a.units) * emb.field.v_power(image_b.units)
     product = emb.extended.basis_product(image_a.basis, image_b.basis)
     rhs = {basis: c * s for basis, s in product.items()}
     report = {
@@ -306,13 +337,12 @@ def test_report_matches_generic_product_reference(a2_q3, monkeypatch):
 
     # off by t^3 on every image with a nonzero class at degree 1
     original = emb.phi_basis
-    t3 = emb.field.v_power(3)
 
     def shifted(basis):
         image = original(basis)
         if basis.classes[1].is_zero:
             return image
-        return PhiImage(image.units + 3, image.scalar * t3, image.basis)
+        return PhiImage(image.units + 3, image.basis)
 
     monkeypatch.setattr(emb, "phi_basis", shifted)
     failed = 0
@@ -344,7 +374,7 @@ def test_colliding_images_fail_the_check(a2_q2, monkeypatch):
     def collide(basis):
         image = original(basis)
         if basis == p1:
-            return PhiImage(image.units, image.scalar, original(split).basis)
+            return PhiImage(image.units, original(split).basis)
         return image
 
     monkeypatch.setattr(emb, "phi_basis", collide)

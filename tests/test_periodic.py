@@ -212,7 +212,7 @@ def test_parse_and_print_roundtrip(a2_q2):
     rng = random.Random(3)
     elements = [
         P.unit(),
-        P.monomial(P.basis_from_degrees({0: ctx.class_by_name("S1+S2")})),
+        P.monomial(P.basis([ctx.class_by_name("S1+S2"), ctx.zero_class, ctx.zero_class])),
     ]
     for _ in range(6):
         a = P.basis(sample_module_tuple(ctx, rng, 3, (1, 1)))

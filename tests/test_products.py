@@ -1,6 +1,6 @@
 """Basis products of both algebras against per-term oracles, the bounded
 product caches, and embedding sweeps pinned by digest on the Kronecker
-quiver and on A2."""
+quiver, on A2 and on two orientations of A3."""
 
 import hashlib
 import json
@@ -187,13 +187,23 @@ A2_PINS = {
     (2, 5, 1): (441, "1983e882feff29bbfb33ad18b869b1d4fedb00f8fbe47ee99eb9126898139548"),
 }
 
+# the same digest on two orientations of A3 at bound (1,1,1), q=2, m=3,
+# max_degrees 1; pinned before the phi images lost their scalar
+A3_PINS = {
+    "A3": (1369, "5a8183f6eed403506eaa57d2ad8ad8540fc1b1fb8c09ab736ed57da54bac7280"),
+    "3; 1->2, 3->2": (
+        1369,
+        "42e071d46e908e32078fbdbb29876a0a51b9ee8f12117281da2853867f06e4f4",
+    ),
+}
 
-def embedding_digest(quiver, q, m, max_degrees):
-    """(pairs, sha256) of phi(a b) over the bound-(1,1) sweep, each pair
+
+def embedding_digest(quiver, q, m, max_degrees, bound=(1, 1)):
+    """(pairs, sha256) of phi(a b) over the sweep within bound, each pair
     checked to be a homomorphism on the way."""
     emb = make_embedding(quiver, q, m)
     P = emb.periodic
-    elements = periodic_basis_elements(P, (1, 1), max_degrees=max_degrees)
+    elements = periodic_basis_elements(P, bound, max_degrees=max_degrees)
     h = hashlib.sha256()
     pairs = 0
     for a in elements:
@@ -213,3 +223,8 @@ def test_kronecker_embedding_pinned():
 @pytest.mark.parametrize("q, m, max_degrees", sorted(A2_PINS))
 def test_a2_embedding_pinned(q, m, max_degrees):
     assert embedding_digest("A2", q, m, max_degrees) == A2_PINS[(q, m, max_degrees)]
+
+
+@pytest.mark.parametrize("quiver", sorted(A3_PINS))
+def test_a3_embedding_pinned(quiver):
+    assert embedding_digest(quiver, 2, 3, 1, bound=(1, 1, 1)) == A3_PINS[quiver]
