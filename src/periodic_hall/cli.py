@@ -40,7 +40,7 @@ from .errors import (
 from .extended import ExtendedAlgebra
 from .periodic import PeriodicAlgebra
 from .repcat import Quiver, RepContext
-from . import suites
+from . import literal, suites
 
 
 class _Option(NamedTuple):
@@ -154,16 +154,12 @@ def _emit(settings: Settings, payload: dict, text: str) -> None:
 
 
 def _parse_bound(text: str, n: int):
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        values = [int(p) for p in parts]
-    except ValueError as exc:
-        raise ParseError(f"bad bound {text!r}") from exc
+    values = literal.parse(text, "vector")
     if len(values) == 1:
         values = values * n
     if len(values) != n:
         raise ParseError(f"bound needs 1 or {n} entries, got {len(values)}")
-    return tuple(values)
+    return values
 
 
 # -- subcommands -----------------------------------------------------------------

@@ -76,9 +76,7 @@ class GradedObject:
         return sum(cls.total_dim for _, cls in self.entries)
 
     def __str__(self):
-        if not self.entries:
-            return "0"
-        return " + ".join(f"{cls.name}@{deg}" for deg, cls in self.entries)
+        return literal.graded_text(self.entries)
 
     __repr__ = __str__
 
@@ -552,7 +550,8 @@ class DerivedContext:
 
     def _hall_fibers(self, a, b, i_cls, i_prev) -> dict:
         """{M: |fiber|} with H(M; I[1] + A, B + I'[-1]) = |fiber| * q^-hom(A, B),
-        I' the connecting class one position back."""
+        I' the connecting class one position back; every M has dim A + dim B
+        - dim I - dim I', which the extended product's exponent relies on."""
         X = self.graded({1: i_cls, 0: a})
         Y = self.graded({0: b, -1: i_prev})
         e = self.hall_denominator_exponent(X, Y)
@@ -560,7 +559,16 @@ class DerivedContext:
             raise InvariantError(
                 f"Hall exponent {e} of ({X}, {Y}) is not dim Hom({a.name}, {b.name})"
             )
-        return self.module_fiber_counts(X, Y)
+        fibers = self.module_fiber_counts(X, Y)
+        dims = tuple(
+            x + y - s - t for x, y, s, t in zip(a.dims, b.dims, i_cls.dims, i_prev.dims)
+        )
+        for M in fibers:
+            if M.dims != dims:
+                raise InvariantError(
+                    f"{M.name} in the fiber of ({X}, {Y}) has dims {M.dims}, not {dims}"
+                )
+        return fibers
 
     def derived_hall_number(self, X: GradedObject, Y: GradedObject, L: GradedObject) -> Scalar:
         """|Ext^1(X,Y)_L| / (|Hom(X,Y)| * {X,Y}) as an exact scalar."""

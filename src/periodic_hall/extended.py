@@ -15,11 +15,14 @@ Hall-factor product arrives as an integer n * q^-e / aut (see
 and with k = 8j + r each term is one scalar (n * q^j / aut) * t^r.
 
 What depends on the connecting tuple I alone (its doubled dimension
-vectors, the I-I part of the inner exponent and the step functionals that
-pair each output class with I_i - I_{i-1}) is tabulated once per algebra.
+vectors and the I-I part of the exponent) is tabulated once per algebra.
 The pairings of I with alpha + beta are linear in I, so each pair turns
 them into one functional per position (`Quiver.euler_left` and
-`euler_right`), and a term costs m dot products.
+`euler_right`).  Every output class has dim M_i = dim A_i + dim B_i -
+dim I_i - dim I_{i-1} (`DerivedContext` checks this at each Hall-table
+fill), so the output pairing sum_i <M_i, I_i - I_{i-1}> splits into a
+part linear in I, which joins those functionals, and an I-I part: the
+exponent is one per connecting tuple, and a term costs one rational.
 
 Sums of the shape "i = 1..m-1 over pairings" follow the single-term
 convention at m = 1 (the i = 1 term, indices mod m), which makes them
@@ -31,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
-from . import combo
+from . import combo, literal
 from .errors import ParseError, UsageError
 
 
@@ -57,23 +60,7 @@ class ExtendedBasisElement:
         return (tuple(c.sort_key() for c in self.classes), self.alphas)
 
     def __str__(self):
-        parts = [
-            f"{cls.name}@{i}" for i, cls in enumerate(self.classes) if not cls.is_zero
-        ]
-        u_part = "[" + (" + ".join(parts) or "0") + "]"
-        k_entries = []
-        for i, dbl in enumerate(self.alphas):
-            if not any(dbl):
-                continue
-            if all(x % 2 == 0 for x in dbl):
-                vec = ",".join(str(x // 2) for x in dbl)
-                k_entries.append(f"({vec})@{i}")
-            else:
-                vec = ",".join(str(x) for x in dbl)
-                k_entries.append(f"({vec})/2@{i}")
-        if k_entries:
-            return u_part + "*K[" + ", ".join(k_entries) + "]"
-        return u_part
+        return literal.basis_text(self.classes, self.alphas)
 
     __repr__ = __str__
 
@@ -132,9 +119,9 @@ class ExtendedAlgebra(combo.Algebra):
         return cached
 
     def _tuple_data(self, I) -> tuple:
-        """(doubled dims, I-I part of the inner exponent, step functionals)
-        of a connecting tuple I; the functional at i is r(I_i - I_{i-1}),
-        so that <M_i, I_i - I_{i-1}> = M_i . r(I_i - I_{i-1})."""
+        """(doubled dims, I-I part of the exponent) of a connecting tuple I.
+        The I-I part of 4 sum_i <M_i, I_i - I_{i-1}> is -4 sum_i <I_i +
+        I_{i-1}, I_i - I_{i-1}> = 4 sum_i (<I_i, I_{i-1}> - <I_{i-1}, I_i>)."""
         m = self.m
         quiver = self.rep.quiver
         dims = [cls.dims for cls in I]
@@ -143,11 +130,9 @@ class ExtendedAlgebra(combo.Algebra):
         for i in convention_range(m):
             inner += 4 * quiver.euler(dims[(i - 1) % m], dims[i % m])
         inner -= 4 * quiver.euler(dims[0], dims[m - 1])
-        steps = [
-            quiver.euler_right([s - t for s, t in zip(dims[i], dims[i - 1])])
-            for i in range(m)
-        ]
-        return dbl, inner, steps
+        for now, before in zip(dims, dims[-1:] + dims[:-1]):
+            inner += 4 * (quiver.euler(now, before) - quiver.euler(before, now))
+        return dbl, inner
 
     def _basis_product(self, x: ExtendedBasisElement, y: ExtendedBasisElement) -> dict:
         m = self.m
@@ -169,9 +154,10 @@ class ExtendedAlgebra(combo.Algebra):
             a0 += rep.sym_t_units(alphas[i % m], betas[(i - 1) % m])
         a0 -= rep.sym_t_units(alphas[m - 1], betas[0])
 
-        # the I-to-(alpha+beta) coupling must use the symmetric form: with
+        # the part of the exponent linear in I is sum_i (dbl I_i) . couple[i].
+        # The I-to-(alpha+beta) coupling must use the symmetric form: with
         # the plain Euler pairing the algebra fails associativity.  It is
-        # sum_i (dbl I_i) . couple[i], where (d, ab) = d . (l(ab) + r(ab))
+        # (d, ab) = d . (l(ab) + r(ab))
         ab = [tuple(map(sum, zip(alpha, beta))) for alpha, beta in zip(alphas, betas)]
         sym = [
             [s + t for s, t in zip(quiver.euler_left(v), quiver.euler_right(v))]
@@ -181,6 +167,12 @@ class ExtendedAlgebra(combo.Algebra):
         couple[m - 1] = [-s for s in sym[0]]
         for i in convention_range(m):
             couple[i % m] = [c + s for c, s in zip(couple[i % m], sym[(i - 1) % m])]
+        # the part of 4 sum_i <M_i, I_i - I_{i-1}> linear in I:
+        # sum_i 2 (l(A_i + B_i) - l(A_{i+1} + B_{i+1})) . (dbl I_i)
+        left = [quiver.euler_left(list(map(add, u, w))) for u, w in zip(dims_a, dims_b)]
+        for i in range(m):
+            step = zip(couple[i], left[i], left[(i + 1) % m])
+            couple[i] = [c + 2 * (s - t) for c, s, t in step]
 
         q = self.field.q
         term = self.field.term
@@ -190,22 +182,17 @@ class ExtendedAlgebra(combo.Algebra):
             data = table.get(I)
             if data is None:
                 data = table[I] = self._tuple_data(I)
-            dbl, inner, steps = data
+            dbl, inner = data
             for d2, c in zip(dbl, couple):
                 inner += sum(map(mul, d2, c))
             # q^-e = t^(-8e) joins the t-exponent
-            base = a0 + inner - 8 * e
-
+            k, r = divmod(a0 + inner - 8 * e, 8)
+            num, den = (q**k, aut) if k >= 0 else (1, aut * q**-k)
             gammas = tuple(
                 tuple(d2 + s for d2, s in zip(dbl[i], ab[i])) for i in range(m)
             )
-            # sum_i <M_i - M_{i+1}, I_i> = sum_i <M_i, I_i - I_{i-1}>
             for modules, n in terms:
-                m_exp = 0
-                for cls, step in zip(modules, steps):
-                    m_exp += sum(map(mul, cls.dims, step))
-                k, r = divmod(base + 4 * m_exp, 8)
-                c = Fraction(n * q**k, aut) if k >= 0 else Fraction(n, aut * q**-k)
+                c = Fraction(n * num, den)
                 combo.add_term(out, ExtendedBasisElement(modules, gammas), term(c, r))
         return out
 

@@ -1,36 +1,39 @@
-"""The literal grammar: one tokenizer and one recursive-descent parser.
+"""The literal grammar: one tokenizer, one recursive-descent parser, and
+the printer of graded objects and basis elements.
 
-This module parses the algebraic literals: scalars, graded objects,
-basis elements of both algebras with their K parts, and elements.  A
-literal must be consumed to its last token; anything else raises
-ParseError.  Whitespace may separate any two tokens.  Three simpler texts
-are parsed where they are used: quiver literals by `Quiver.parse`,
-dimension bounds by the CLI's `_parse_bound`, and class sums such as
-'S1+P1' by `RepContext.class_by_name`, which re-splits the '+'-joined
-labels of each group it resolves.
+Every literal the program reads goes through `parse`; every graded part,
+basis element and K part it prints goes through `graded_text` and
+`basis_text`.  A literal must be consumed to its last token; anything else
+raises ParseError.  Whitespace may separate any two tokens.
 
     element  := '0' | ['-'] term (('+' | '-') term)*
     term     := (factor '*')* basis
     basis    := '[' graded ']' ['*' kpart] | kpart
     kpart    := 'K' '[' [kentry (',' kentry)*] ']'
-    kentry   := '(' int (',' int)* ')' ['/' '2'] '@' int
+    kentry   := '(' vector ')' ['/' '2'] '@' int
     graded   := '0' | group ('+' group)*
     group    := NAME ('+' NAME)* '@' int
+    classes  := '0' | NAME ('+' NAME)*
     scalar   := ['-'] product (('+' | '-') product)*
     product  := factor ('*' factor)*
     factor   := NUMBER ['/' NUMBER] | ('v' | 't' | 'q') ['^' int] | '(' scalar ')'
+    quiver   := PRESET | NUMBER ';' [arrow (',' arrow)*]
+    arrow    := NUMBER '-' '>' NUMBER
+    vector   := int (',' int)*
     int      := ['-'] NUMBER
     NUMBER   := [0-9]+
     NAME     := [A-Za-z][A-Za-z0-9]*
+    PRESET   := ('A' | 'a') [0-9]+
 
 The element '0' is the zero element.  A group is one isomorphism class,
 the direct sum of its labels, looked up by the caller's resolver
-(`RepContext.class_by_name`); a degree appears at most once in a graded
-object.  In a factor v = sqrt(q) and t = q^(1/8), as in `scalar`.  A K
-entry is a half-lattice vector, '/2' marking halves, and is returned
-doubled.  The parser knows no period: reducing degrees mod m, checking K
-vector lengths and rejecting a K part where none belongs are left to the
-algebra that receives the pieces.
+(`RepContext.class_by_name`, which parses its text as 'classes'); a
+degree appears at most once in a graded object.  In a factor v = sqrt(q)
+and t = q^(1/8), as in `scalar`.  A K entry is a half-lattice vector,
+'/2' marking halves, and is returned doubled.  The preset An is the path
+1->2->...->n; quiver vertices are 1-based.  The parser knows no period or
+quiver: reducing degrees mod m, checking lengths and vertex ranges and
+rejecting a K part where none belongs are left to the receiving code.
 """
 
 from __future__ import annotations
@@ -47,12 +50,13 @@ _TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9]*|\S")
 
 def parse(text: str, rule: str, *args):
     """Parse all of text as the rule 'scalar' (args: the scalar field),
-    'graded' or 'basis' (args: the class-name resolver) or 'element'
-    (args: field, resolver).
+    'graded' or 'basis' (args: the class-name resolver), 'element' (args:
+    field, resolver), 'quiver', 'vector' or 'classes'.
 
     Returns a Scalar; a list of (degree, class) pairs; a (pairs, K entries
-    or None) tuple with K entries (degree, doubled vector); or a list of
-    (Scalar, basis tuple) pairs, one per term.
+    or None) tuple with K entries (degree, doubled vector); a list of
+    (Scalar, basis tuple) pairs, one per term; (n, arrows) with 0-based
+    arrows (s, t); a tuple of ints; or a list of labels, empty for '0'.
     """
     parser = _Parser(text, rule)
     value = getattr(parser, rule)(*args)
@@ -64,6 +68,29 @@ def parse(text: str, rule: str, *args):
 def parse_scalar(field, text: str):
     """A scalar literal such as '2*v^-1', '1/3', 't^5' or '(1 + v)'."""
     return parse(text, "scalar", field)
+
+
+def graded_text(pairs) -> str:
+    """The graded literal of (degree, class) pairs: 'S1@0 + P1@2', or '0'."""
+    return " + ".join(f"{cls.name}@{deg}" for deg, cls in pairs) or "0"
+
+
+def basis_text(classes, alphas=()) -> str:
+    """The basis literal of one class per degree and, for an extended basis
+    element, one doubled K vector per degree, such as '[S1@0]*K[(1,0)/2@1]';
+    zero classes and zero vectors are left out."""
+    graded = graded_text((i, cls) for i, cls in enumerate(classes) if not cls.is_zero)
+    k_entries = [_kentry_text(i, dbl) for i, dbl in enumerate(alphas) if any(dbl)]
+    k_part = f"*K[{', '.join(k_entries)}]" if k_entries else ""
+    return f"[{graded}]{k_part}"
+
+
+def _kentry_text(degree: int, doubled) -> str:
+    """A K entry as `_Parser.kentry` reads it: '(1,0)@i' for a whole vector,
+    '(1,1)/2@i' when some doubled entry is odd."""
+    whole = all(x % 2 == 0 for x in doubled)
+    vec = ",".join(str(x // 2 if whole else x) for x in doubled)
+    return f"({vec})@{degree}" if whole else f"({vec})/2@{degree}"
 
 
 class _Parser:
@@ -151,9 +178,7 @@ class _Parser:
             return []
         entries = []
         while True:
-            names = [self.name()]
-            while self.accept("+"):
-                names.append(self.name())
+            names = self.sequence(self.name, "+")
             self.expect("@")
             degree = self.integer()
             if any(degree == d for d, _ in entries):
@@ -162,25 +187,35 @@ class _Parser:
             if not self.accept("+"):
                 return entries
 
+    def sequence(self, item, separator: str) -> list:
+        """item (separator item)*"""
+        items = [item()]
+        while self.accept(separator):
+            items.append(item())
+        return items
+
+    def classes(self) -> list:
+        return [] if self.accept("0") else self.sequence(self.name, "+")
+
+    def vector(self) -> tuple:
+        return tuple(self.sequence(self.integer, ","))
+
     def kpart(self) -> list:
         self.expect("K")
         self.expect("[")
-        entries = []
-        while not self.accept("]"):
-            if entries:
-                self.expect(",")
-            self.expect("(")
-            vec = [self.integer()]
-            while self.accept(","):
-                vec.append(self.integer())
-            self.expect(")")
-            halves = self.accept("/")
-            if halves:
-                self.expect("2")
-            self.expect("@")
-            doubled = tuple(vec) if halves else tuple(2 * x for x in vec)
-            entries.append((self.integer(), doubled))
+        entries = [] if self.peek() == "]" else self.sequence(self.kentry, ",")
+        self.expect("]")
         return entries
+
+    def kentry(self) -> tuple:
+        self.expect("(")
+        vec = self.vector()
+        self.expect(")")
+        halves = self.accept("/")
+        if halves:
+            self.expect("2")
+        self.expect("@")
+        return self.integer(), (vec if halves else tuple(2 * x for x in vec))
 
     def basis(self, resolve) -> tuple:
         if self.peek() == "K":
@@ -204,3 +239,19 @@ class _Parser:
             terms.append((-coef if op == "-" else coef, self.basis(resolve)))
             op = self.accept("+", "-")
         return terms
+
+    def quiver(self) -> tuple:
+        token = self.peek()
+        if token is not None and token[0] in "Aa" and token[1:].isdigit():
+            self.pos += 1
+            n = int(token[1:])
+            return n, [(i, i + 1) for i in range(n - 1)]
+        n = self.number()
+        self.expect(";")
+        return n, ([] if self.peek() is None else self.sequence(self.arrow, ","))
+
+    def arrow(self) -> tuple:
+        source = self.number()
+        self.expect("-")
+        self.expect(">")
+        return source - 1, self.number() - 1

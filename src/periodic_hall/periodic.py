@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from . import combo
+from . import combo, literal
 from .derived import DerivedContext
 from .errors import EvenPeriodError, ParseError
 
@@ -48,10 +48,7 @@ class PeriodicObject:
     @cached_property
     def _text(self) -> str:
         # built once: sweep reports print every operand pair
-        parts = [
-            f"{cls.name}@{i}" for i, cls in enumerate(self.classes) if not cls.is_zero
-        ]
-        return "[" + (" + ".join(parts) or "0") + "]"
+        return literal.basis_text(self.classes)
 
     def __str__(self):
         return self._text

@@ -32,11 +32,9 @@ from operator import mul
 
 import numpy as np
 
-from . import linalg
+from . import linalg, literal
 from .errors import InvariantError, ParseError, ResourceLimitError, UsageError
 from .scalar import is_prime
-
-_PRESET = re.compile(r"^A(\d+)$", re.IGNORECASE)
 
 
 class Quiver:
@@ -77,33 +75,8 @@ class Quiver:
 
     @staticmethod
     def parse(text: str) -> "Quiver":
-        """Preset name ('A1', 'A2', 'A3', ...) or literal 'n; s->t, s->t'."""
-        text = text.strip()
-        m = _PRESET.match(text)
-        if m:
-            n = int(m.group(1))
-            if n < 1:
-                raise ParseError(f"bad preset {text!r}")
-            return Quiver(n, [(i, i + 1) for i in range(n - 1)])
-        if ";" not in text:
-            raise ParseError(f"quiver literal {text!r} needs 'n; arrows'")
-        head, _, tail = text.partition(";")
-        try:
-            n = int(head)
-        except ValueError as exc:
-            raise ParseError(f"bad vertex count {head!r}") from exc
-        arrows = []
-        tail = tail.strip()
-        if tail:
-            for part in tail.split(","):
-                piece = part.strip()
-                if "->" not in piece:
-                    raise ParseError(f"bad arrow {piece!r}")
-                s, _, t = piece.partition("->")
-                try:
-                    arrows.append((int(s) - 1, int(t) - 1))
-                except ValueError as exc:
-                    raise ParseError(f"bad arrow {piece!r}") from exc
+        """A literal 'quiver': a preset such as 'A3', or 'n; s->t, s->t'."""
+        n, arrows = literal.parse(text, "quiver")
         try:
             return Quiver(n, arrows)
         except UsageError as exc:
@@ -582,8 +555,8 @@ class RepContext:
         """Classes with exactly this dimension vector, deterministically ordered."""
         return sorted(set(self._cell(tuple(dims)).classes), key=IsoClass.sort_key)
 
-    def iso_classes_upto(self, bound) -> list:
-        """All classes with dim vector <= bound, deterministically ordered."""
+    def iso_classes_upto(self, bound) -> tuple:
+        """All classes with dim vector <= bound, sorted; one cached tuple per bound."""
         bound = tuple(int(b) for b in bound)
         if len(bound) != self.quiver.n or any(b < 0 for b in bound):
             raise UsageError(f"bad bound {bound}")
@@ -593,7 +566,7 @@ class RepContext:
             for dims in self._subvectors(bound):
                 out.update(self._cell(dims).classes)
             classes = self._upto_cache[bound] = tuple(sorted(out, key=IsoClass.sort_key))
-        return list(classes)
+        return classes
 
     # -- named constructions -------------------------------------------------
 
@@ -646,13 +619,9 @@ class RepContext:
         return f"{base}n{k}"
 
     def class_by_name(self, text: str) -> IsoClass:
-        """Parse 'S1+P1'-style sums of indecomposable labels ('0' = zero)."""
-        text = text.strip()
-        if text == "0":
-            return self.zero_class
+        """The class of a literal 'classes', such as 'S1+P1' or '0'."""
         pairs = []
-        for name in text.split("+"):
-            name = name.strip()
+        for name in literal.parse(text, "classes"):
             iid = self._indec_by_name.get(name)
             if iid is None:
                 iid = self._find_named_indec(name)

@@ -1,6 +1,8 @@
 """Command-line behavior: output shapes, determinism, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +80,57 @@ def test_parse_error_exit_code(capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--quiver", "1_0; 1->2"),
+        ("--quiver", "+2; 1->2"),
+        ("--quiver", "２; １->２"),
+        ("--quiver", "2; 1->2,"),
+        ("--quiver", "2; 1=>2"),
+        ("--bound", "1_0"),
+        ("--bound", "+1"),
+        ("--bound", "1,"),
+    ],
+)
+def test_malformed_quiver_or_bound_exit_code(capsys, flag, value):
+    argv = {"--quiver": "2; 1->2", "--bound": "1", flag: value}
+    code, out, err = run(
+        capsys, "list", "--q", "2", "--quiver", argv["--quiver"],
+        "iso-classes", "--bound", argv["--bound"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "literal" in err
+
+
+def _readme_examples():
+    """(argv, expected stdout or None) of each `periodic-hall` command in the
+    README's "Command line" block, lines continued with a backslash joined;
+    a '# ' line right after a command is its expected output."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", "").splitlines()
+    return [
+        (shlex.split(line)[1:], after[2:] if after.startswith("# ") else None)
+        for line, after in zip(lines, lines[1:] + [""])
+        if line.startswith("periodic-hall ")
+    ]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize(
+    "argv, expected", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES]
+)
+def test_readme_example_runs(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if expected is not None:
+        assert out.strip() == expected
 
 
 def test_resource_cap_exit_code(capsys):

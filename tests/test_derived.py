@@ -28,6 +28,17 @@ def test_graded_literals(a2_q2):
     assert d.parse_graded("S1@-1 + S2@0").support() == (-1, 0)
 
 
+def test_hall_fill_rejects_class_of_wrong_dimension_vector(monkeypatch):
+    """Every class M of a Hall-table fiber has dim A + dim B - dim I - dim
+    I'; a fill that breaks this raises instead of mispricing the extended
+    exponent."""
+    d = DerivedContext(RepContext(Quiver.parse("A2"), 2))
+    S1, S2, zero = (d.rep.class_by_name(name) for name in ("S1", "S2", "0"))
+    monkeypatch.setattr(d, "module_fiber_counts", lambda X, Y: {S1: 1})
+    with pytest.raises(InvariantError, match="has dims"):
+        d.connecting_terms((S1, zero, zero), (S2, zero, zero))
+
+
 def test_graded_rejects_classes_of_another_context(a2_q2, dctx_factory):
     other = dctx_factory("2; 2->1", 2)
     S1 = other.rep.class_by_name("S1")

@@ -1,5 +1,6 @@
-"""The literal grammar: malformed literals fail fast, printed elements
-parse back to themselves."""
+"""The literal grammar: malformed literals fail fast, quivers and classes
+parse to their values, printed elements and graded objects parse back to
+themselves."""
 
 import os
 import subprocess
@@ -14,7 +15,9 @@ import periodic_hall
 from periodic_hall.errors import ParseError
 from periodic_hall.extended import ExtendedAlgebra
 from periodic_hall.periodic import PeriodicAlgebra
+from periodic_hall.repcat import Quiver
 from periodic_hall.scalar import parse_scalar
+from periodic_hall.suites import graded_objects_upto
 
 from conftest import _derived_context
 
@@ -55,6 +58,56 @@ def test_malformed_scalar_raises(a2_q2, text):
 def test_malformed_graded_raises(a2_q2, text):
     with pytest.raises(ParseError):
         a2_q2.parse_graded(text)
+
+
+# (n, arrows) as the hand parser this grammar replaced read them
+QUIVERS = {
+    "A1": (1, ()),
+    "A2": (2, ((0, 1),)),
+    "A3": (3, ((0, 1), (1, 2))),
+    "A4": (4, ((0, 1), (1, 2), (2, 3))),
+    "A5": (5, ((0, 1), (1, 2), (2, 3), (3, 4))),
+    "a3": (3, ((0, 1), (1, 2))),
+    "A02": (2, ((0, 1),)),
+    "1; ": (1, ()),
+    "2; 1->2, 1->2": (2, ((0, 1), (0, 1))),
+    "2; 2->1": (2, ((1, 0),)),
+    "3; 1->2, 2->3": (3, ((0, 1), (1, 2))),
+    "3; 1->2, 2->3, 1->3": (3, ((0, 1), (1, 2), (0, 2))),
+    "3; 1->2, 3->2": (3, ((0, 1), (2, 1))),
+    " 3 ;3->1,2 - > 1 ": (3, ((2, 0), (1, 0))),
+}
+# the first three were once read by int(), as 10, 2 and 2 vertices
+MALFORMED_QUIVERS = ["1_0; 1->2", "+2; 1->2", "２; １->２", "2; 1->2,", "2; 1=>2"]
+
+
+@pytest.mark.parametrize("text", sorted(QUIVERS))
+def test_quiver_literal_values(text):
+    quiver = Quiver.parse(text)
+    assert (quiver.n, quiver.arrows) == QUIVERS[text]
+
+
+@pytest.mark.parametrize("text", MALFORMED_QUIVERS + ["A0"])
+def test_malformed_quiver_raises(text):
+    with pytest.raises(ParseError):
+        Quiver.parse(text)
+
+
+@pytest.mark.parametrize(
+    "quiver, bound", [("A2", (2, 2)), ("A3", (1, 1, 1)), ("2; 1->2, 1->2", (1, 1))]
+)
+def test_every_class_name_resolves_to_its_class(dctx_factory, quiver, bound):
+    rep = dctx_factory(quiver, 2).rep
+    for cls in rep.iso_classes_upto(bound):
+        assert rep.class_by_name(cls.name) is cls
+        assert rep.class_by_name(f" {cls.name.replace('+', ' + ')} ") is cls
+
+
+def test_printed_graded_objects_parse_back(a2_q2):
+    objects = graded_objects_upto(a2_q2, 3)
+    assert len(objects) == 45
+    for X in objects:
+        assert a2_q2.parse_graded(str(X)) == X
 
 
 def test_cli_rejects_doubled_star_without_hanging():

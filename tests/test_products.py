@@ -187,6 +187,13 @@ A2_PINS = {
     (2, 5, 1): (441, "1983e882feff29bbfb33ad18b869b1d4fedb00f8fbe47ee99eb9126898139548"),
 }
 
+# the same digest over the A2 sweep at bound (2,1), m=3, max_degrees 1,
+# keyed by q; pinned before the extended exponent stopped reading M
+A2_BOUND_21_PINS = {
+    2: (484, "a3a0bd0d4322726bbd5bb7423941aa880ca507b5c13b9be722b877e95c4e3aba"),
+    3: (484, "2a0053ce0162d70be04a186abded5b4e134fcc2bfd41930d2fc6b77b3074a276"),
+}
+
 # the same digest on two orientations of A3 at bound (1,1,1), q=2, m=3,
 # max_degrees 1; pinned before the phi images lost their scalar
 A3_PINS = {
@@ -223,6 +230,11 @@ def test_kronecker_embedding_pinned():
 @pytest.mark.parametrize("q, m, max_degrees", sorted(A2_PINS))
 def test_a2_embedding_pinned(q, m, max_degrees):
     assert embedding_digest("A2", q, m, max_degrees) == A2_PINS[(q, m, max_degrees)]
+
+
+@pytest.mark.parametrize("q", sorted(A2_BOUND_21_PINS))
+def test_a2_bound_21_embedding_pinned(q):
+    assert embedding_digest("A2", q, 3, 1, bound=(2, 1)) == A2_BOUND_21_PINS[q]
 
 
 @pytest.mark.parametrize("quiver", sorted(A3_PINS))

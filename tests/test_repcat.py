@@ -425,10 +425,8 @@ def test_iso_classes_upto_is_cached_per_bound(monkeypatch):
 
     monkeypatch.setattr(ctx, "_cell", no_cells)
     second = ctx.iso_classes_upto([2, 1])  # the same bound, normalized
-    assert second == first and second is not first
-    second.reverse()
-    second.append(ctx.zero_class)
-    assert ctx.iso_classes_upto((2, 1)) == first
+    # one immutable tuple, so no caller can corrupt the cache
+    assert second is first and isinstance(second, tuple)
     with pytest.raises(UsageError):
         ctx.iso_classes_upto((2, -1))
     with pytest.raises(UsageError):
@@ -470,10 +468,9 @@ def test_class_name_parsing(ctx_factory):
     assert i2.dims == (1, 1, 0)
     both = ctx.class_by_name("P2+I2")
     assert both.dims == (1, 2, 1)
-    with pytest.raises(ParseError):
-        ctx.class_by_name("S9")
-    with pytest.raises(ParseError):
-        ctx.class_by_name("garbage")
+    for text in ("S9", "garbage", "", "S1+", "S1 S2", "0+S1", "S1+0", "+S1"):
+        with pytest.raises(ParseError):
+            ctx.class_by_name(text)
 
 
 def test_resource_cap():
