@@ -9,9 +9,9 @@ Shared flags may appear after the subcommand: --quiver, --q, --m, --seed,
 --format text|json, --cap-dim, --cap-cell, --count-mode, --config FILE.
 The config file holds `key = value` lines mirroring the flags; explicit
 flags win.  Each shared option is declared once, in `_OPTIONS`, with its
-type, default, help text and allowed values or least value; the flags,
-the config reader, the range checks and the merge in `Settings` all read
-that table.
+default, help text and allowed values or least value; the flags, the
+config reader, the range checks and the merge in `Settings` all read that
+table.  Every int flag and int config value is read by the literal grammar.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
 3 even period where odd is required, 4 resource cap exceeded,
@@ -46,23 +46,20 @@ from . import literal, suites
 class _Option(NamedTuple):
     """A shared flag, which is also a config key."""
 
-    type: type
     default: object
     help: str
     limit: object = None  # a tuple of allowed values, or the least int value
 
 
 _OPTIONS = {
-    "quiver": _Option(str, "A2", "preset A1/A2/A3/... or 'n; s->t, ...'"),
-    "q": _Option(int, 2, "prime field size"),
-    "m": _Option(int, 3, "period"),
-    "format": _Option(str, "text", "output format", ("text", "json")),
-    "seed": _Option(int, 0, "seed for randomized sweeps"),
-    "cap-dim": _Option(int, 14, "chain-map space dimension cap", 0),
-    "cap-cell": _Option(int, 2_000_000, "per-cell representation cap", 1),
-    "count-mode": _Option(
-        str, "quotient", "fiber counting strategy", ("quotient", "total")
-    ),
+    "quiver": _Option("A2", "preset A1/A2/A3/... or 'n; s->t, ...'"),
+    "q": _Option(2, "prime field size"),
+    "m": _Option(3, "period"),
+    "format": _Option("text", "output format", ("text", "json")),
+    "seed": _Option(0, "seed for randomized sweeps"),
+    "cap-dim": _Option(14, "chain-map space dimension cap", 0),
+    "cap-cell": _Option(2_000_000, "per-cell representation cap", 1),
+    "count-mode": _Option("quotient", "fiber counting strategy", ("quotient", "total")),
 }
 
 # most specific class first: (class, exit code, message prefix)
@@ -72,6 +69,13 @@ _EXIT_CODES = (
     (InvariantError, 5, "internal invariant violated: "),
     (HallError, 2, ""),  # parse and usage errors
 )
+
+
+def _value(key: str, text: str):
+    """A flag or config value from its text; ints by the literal grammar."""
+    if isinstance(_OPTIONS[key].default, int):
+        return literal.parse(text, "integer")
+    return text
 
 
 def _bad_value(key: str, value):
@@ -99,9 +103,9 @@ def _read_config(path: str) -> dict:
                 if key not in _OPTIONS:
                     raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    values[key] = _OPTIONS[key].type(value.strip())
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad value: {exc}") from exc
+                    values[key] = _value(key, value.strip())
+                except ParseError as exc:
+                    raise ParseError(f"{path}:{lineno}: {key}: {exc}") from exc
                 problem = _bad_value(key, values[key])
                 if problem:
                     raise ParseError(f"{path}:{lineno}: {problem}")
@@ -114,7 +118,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value file with the flags below")
     for key, opt in _OPTIONS.items():
         limit = opt.limit if isinstance(opt.limit, tuple) else None
-        parser.add_argument(f"--{key}", type=opt.type, choices=limit, help=opt.help)
+        parser.add_argument(f"--{key}", choices=limit, help=opt.help)
 
 
 class Settings:
@@ -127,6 +131,7 @@ class Settings:
         for key in _OPTIONS:
             flag = getattr(args, key.replace("-", "_"), None)
             if flag is not None:
+                flag = _value(key, flag)
                 problem = _bad_value(key, flag)
                 if problem:
                     raise UsageError(f"--{problem}")
@@ -205,6 +210,7 @@ def _verify_report(settings: Settings, args, report: dict) -> int:
 def _cmd_verify(args) -> int:
     settings = Settings(args)
     for flag in ("samples", "max_degrees", "total_dim"):
+        setattr(args, flag, literal.parse(getattr(args, flag), "integer"))
         if getattr(args, flag) < 0:
             raise UsageError(f"--{flag.replace('_', '-')} must be at least 0")
     rng = random.Random(settings.seed)
@@ -341,12 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "suite", choices=("assoc", "embedding", "partition", "identities")
     )
-    p_ver.add_argument("--samples", type=int, default=50)
+    p_ver.add_argument("--samples", default="50")
     p_ver.add_argument("--dim-bound", help="per-vertex class bound, e.g. '1,1'")
-    p_ver.add_argument("--max-degrees", type=int, default=2)
-    p_ver.add_argument(
-        "--total-dim", type=int, default=3, help="partition sweep size bound"
-    )
+    p_ver.add_argument("--max-degrees", default="2")
+    p_ver.add_argument("--total-dim", default="3", help="partition sweep size bound")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_list = sub.add_parser("list", help="print classes or Hall numbers")

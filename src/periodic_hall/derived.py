@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
+from math import lcm, prod
 from operator import mul
 
 import numpy as np
@@ -235,14 +235,15 @@ class ConeCounter:
         hrows = _morphism_constraints(ctx, hlayout, hpairs)
         images = []
         for hvec in linalg.kernel(hrows, hlayout.size, q):
-            hmats = hlayout.unflatten(hvec)
+            hmats = hlayout.matrices(hvec)
             img = [0] * size
             for n, v, r, c, off in self.layout.blocks:
-                parts = []
-                hn, hn1 = hmats.get(n, {}).get(v), hmats.get(n + 1, {}).get(v)
-                if hn is not None:  # dD^{n-1} h^n
+                parts = []  # empty blocks of h contribute nothing
+                if hlayout.slot(n, v):  # dD^{n-1} h^n
+                    hn = hmats[n][v]
                     parts.append(linalg.mul_t(D.diff(n - 1)[v], list(zip(*hn)), q))
-                if hn1 is not None:  # h^{n+1} dC^n
+                if hlayout.slot(n + 1, v):  # h^{n+1} dC^n
+                    hn1 = hmats[n + 1][v]
                     parts.append(linalg.mul_t(hn1, list(zip(*C.diff(n)[v])), q))
                 for part in parts:
                     for k, x in enumerate(x for row in part for x in row):
@@ -497,26 +498,29 @@ class DerivedContext:
                 out[L.entries[0][1]] = c
         return out
 
-    def connecting_terms(self, A, B) -> list:
-        """For module tuples A, B of one period (indices mod m), the list of
-        (I, e, aut, terms), one entry per tuple I of connecting classes with
-        nonempty fibers; terms holds one pair (M, n) per module tuple M, with
-        n an int such that
+    def connecting_terms(self, A, B) -> tuple:
+        """The Hall sum of a basis product of module tuples A, B of one
+        period (indices mod m), as (e, den, groups): groups maps the
+        dimension vectors of a connecting tuple I to {M: num}, one int per
+        module tuple M, with
 
-            prod_i H(M_i; I_i[1] + A_i, B_i + I_{i-1}[-1]) / |Aut(I_i)|
-                = n * q^-e / aut,
+            sum over I with those dims of prod_i H(M_i; I_i[1] + A_i,
+                B_i + I_{i-1}[-1]) / |Aut(I_i)| = num * q^-e / den,
 
-        e = sum_i dim Hom(A_i, B_i) for every I and aut = prod_i |Aut(I_i)|.
-        Each algebra applies its own twist.  The module fiber counts of each
-        position key (A_i, B_i, I_i, I_{i-1}) are tabulated once per context,
-        an empty fiber as {}.
+        e = sum_i dim Hom(A_i, B_i) and den = lcm over I of prod_i
+        |Aut(I_i)|.  Each algebra applies only its own twist, which reads I
+        through its dims alone.  For odd m the dims of M fix those of I
+        (dim M_i = dim A_i + dim B_i - dim I_i - dim I_{i-1}, and I ->
+        (I_i + I_{i-1})_i is invertible), so each M lies in one group.  The
+        module fiber counts of each position key (A_i, B_i, I_i, I_{i-1})
+        are tabulated once per context, an empty fiber as {}.
 
         I_i is pruned to dim I_i <= min(B_i, A_{i+1}), as I_i must embed into
         B_i and be a quotient of A_{i+1}; pruned terms vanish (the tests
         spot-check this against the unpruned factors).  The last pair's
         result is kept in a one-slot memo: phi keeps module tuples, so the
         extended product of phi(a), phi(b) reuses the pass of the periodic
-        product of a, b.  Callers must not mutate the list or its entries.
+        product of a, b.  Callers must not mutate the result.
         """
         memo = self._connecting_memo
         if memo is not None and memo[0] == A and memo[1] == B:
@@ -528,7 +532,7 @@ class DerivedContext:
             for i in range(m)
         ]
         e = sum(map(rep.hom_dim, A, B))
-        out = []
+        found = []  # (dims of I, |Aut I|, fiber counts per position)
         for I in product(*candidates):
             counts = []
             for i in range(m):
@@ -540,13 +544,19 @@ class DerivedContext:
                     break
                 counts.append(fiber)
             else:
-                terms = []
-                for choice in product(*(c.items() for c in counts)):
-                    modules, ns = zip(*choice)
-                    terms.append((modules, prod(ns)))
-                out.append((I, e, prod(map(rep.aut_count, I)), terms))
-        self._connecting_memo = (A, B, out)
-        return out
+                dims = tuple(cls.dims for cls in I)
+                found.append((dims, prod(map(rep.aut_count, I)), counts))
+        den = lcm(*(aut for _, aut, _ in found))
+        groups: dict = {}
+        for dims, aut, counts in found:
+            weight = den // aut
+            group = groups.setdefault(dims, {})
+            for choice in product(*(c.items() for c in counts)):
+                modules, ns = zip(*choice)
+                group[modules] = group.get(modules, 0) + prod(ns) * weight
+        result = (e, den, groups)
+        self._connecting_memo = (A, B, result)
+        return result
 
     def _hall_fibers(self, a, b, i_cls, i_prev) -> dict:
         """{M: |fiber|} with H(M; I[1] + A, B + I'[-1]) = |fiber| * q^-hom(A, B),

@@ -10,19 +10,20 @@ The product carries the full twist
     v^{a0} * v^{inner(I, M)} * prod_i H(...)/|Aut(I_i)| * u_M * K(I + alpha + beta)
 
 with a0 and the inner exponent spelled out in `_basis_product`.  The
-Hall-factor product arrives as an integer n * q^-e / aut (see
-`DerivedContext.connecting_terms`); q^-e = t^(-8e) joins the t-exponent k,
-and with k = 8j + r each term is one scalar (n * q^j / aut) * t^r.
+Hall sum arrives from `DerivedContext.connecting_terms` as integers num
+over q^e * den, grouped by the dims of the connecting tuple I, all the
+twist reads of I; q^-e = t^(-8e) joins the t-exponent k, and with k =
+8j + r each output term is one scalar (num * q^j / den) * t^r.
 
-What depends on the connecting tuple I alone (its doubled dimension
-vectors and the I-I part of the exponent) is tabulated once per algebra.
+What depends on the dims of I alone (its doubled dimension vectors and the
+I-I part of the exponent) is tabulated once per algebra.
 The pairings of I with alpha + beta are linear in I, so each pair turns
 them into one functional per position (`Quiver.euler_left` and
 `euler_right`).  Every output class has dim M_i = dim A_i + dim B_i -
 dim I_i - dim I_{i-1} (`DerivedContext` checks this at each Hall-table
 fill), so the output pairing sum_i <M_i, I_i - I_{i-1}> splits into a
 part linear in I, which joins those functionals, and an I-I part: the
-exponent is one per connecting tuple, and a term costs one rational.
+exponent is one per group, and a term costs one rational.
 
 Sums of the shape "i = 1..m-1 over pairings" follow the single-term
 convention at m = 1 (the i = 1 term, indices mod m), which makes them
@@ -72,7 +73,7 @@ class ExtendedAlgebra(combo.Algebra):
 
     def __init__(self, derived, m: int):
         super().__init__(derived, m)
-        self._tuple_table: dict = {}  # connecting tuple I -> _tuple_data(I)
+        self._tuple_table: dict = {}  # dims of a connecting tuple -> _tuple_data
 
     # -- builders ---------------------------------------------------------
 
@@ -118,13 +119,13 @@ class ExtendedAlgebra(combo.Algebra):
             cached = self._remember_product(key, self._basis_product(a, b))
         return cached
 
-    def _tuple_data(self, I) -> tuple:
-        """(doubled dims, I-I part of the exponent) of a connecting tuple I.
-        The I-I part of 4 sum_i <M_i, I_i - I_{i-1}> is -4 sum_i <I_i +
-        I_{i-1}, I_i - I_{i-1}> = 4 sum_i (<I_i, I_{i-1}> - <I_{i-1}, I_i>)."""
+    def _tuple_data(self, dims) -> tuple:
+        """(doubled dims, I-I part of the exponent) of a connecting tuple I
+        with dimension vectors dims, all this twist reads of I.  The I-I part
+        of 4 sum_i <M_i, I_i - I_{i-1}> is -4 sum_i <I_i + I_{i-1}, I_i -
+        I_{i-1}> = 4 sum_i (<I_i, I_{i-1}> - <I_{i-1}, I_i>)."""
         m = self.m
         quiver = self.rep.quiver
-        dims = [cls.dims for cls in I]
         dbl = [tuple(2 * t for t in v) for v in dims]
         inner = 0
         for i in convention_range(m):
@@ -177,23 +178,26 @@ class ExtendedAlgebra(combo.Algebra):
         q = self.field.q
         term = self.field.term
         table = self._tuple_table
+        e, den, groups = self.derived.connecting_terms(A, B)
         out: dict = {}
-        for I, e, aut, terms in self.derived.connecting_terms(A, B):
-            data = table.get(I)
+        # distinct groups have distinct K-indices 2 dim I + alpha + beta, so
+        # no output basis element repeats and each gets one scalar
+        for dims, terms in groups.items():
+            data = table.get(dims)
             if data is None:
-                data = table[I] = self._tuple_data(I)
+                data = table[dims] = self._tuple_data(dims)
             dbl, inner = data
             for d2, c in zip(dbl, couple):
                 inner += sum(map(mul, d2, c))
             # q^-e = t^(-8e) joins the t-exponent
             k, r = divmod(a0 + inner - 8 * e, 8)
-            num, den = (q**k, aut) if k >= 0 else (1, aut * q**-k)
+            scale, den_k = (q**k, den) if k >= 0 else (1, den * q**-k)
             gammas = tuple(
                 tuple(d2 + s for d2, s in zip(dbl[i], ab[i])) for i in range(m)
             )
-            for modules, n in terms:
-                c = Fraction(n * num, den)
-                combo.add_term(out, ExtendedBasisElement(modules, gammas), term(c, r))
+            for modules, num in terms.items():
+                c = Fraction(num * scale, den_k)
+                out[ExtendedBasisElement(modules, gammas)] = term(c, r)
         return out
 
     # -- parsing ------------------------------------------------------------------

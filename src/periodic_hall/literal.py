@@ -51,12 +51,14 @@ _TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9]*|\S")
 def parse(text: str, rule: str, *args):
     """Parse all of text as the rule 'scalar' (args: the scalar field),
     'graded' or 'basis' (args: the class-name resolver), 'element' (args:
-    field, resolver), 'quiver', 'vector' or 'classes'.
+    field, resolver), 'quiver', 'vector', 'integer' (the grammar's int) or
+    'classes'.
 
     Returns a Scalar; a list of (degree, class) pairs; a (pairs, K entries
     or None) tuple with K entries (degree, doubled vector); a list of
     (Scalar, basis tuple) pairs, one per term; (n, arrows) with 0-based
-    arrows (s, t); a tuple of ints; or a list of labels, empty for '0'.
+    arrows (s, t); a tuple of ints; an int; or a list of labels, empty for
+    '0'.
     """
     parser = _Parser(text, rule)
     value = getattr(parser, rule)(*args)

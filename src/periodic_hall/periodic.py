@@ -9,12 +9,10 @@ position:
     u_A u_B = v^twist * sum_{I, M} prod_i H(M_i; I_i[1] + A_i, B_i + I_{i-1}[-1])
                                         / |Aut(I_i)| * u_M
 
-where twist = sum_i < sum_k (-1)^k [A_{i+k}], [B_i] >.  The connecting
-classes and their integer terms n * q^-e / aut come from
-`DerivedContext.connecting_terms`; only the twist is computed here.  The
-exponent e = sum_i dim Hom(A_i, B_i) is one per pair, so the coefficient of
-each output tuple M is summed in integers as sum n * (lcm(aut) / aut) over
-q^e * lcm(aut), and becomes one rational and one scalar.
+where twist = sum_i < sum_k (-1)^k [A_{i+k}], [B_i] >.  The Hall sum
+arrives from `DerivedContext.connecting_terms` as one integer num per output
+tuple M over one denominator q^e * den for the pair; only the twist is
+computed here, and each M becomes one rational and one scalar.
 
 Only odd m is accepted: without the extension by K-elements the even
 periodic multiplication is not defined.
@@ -25,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from . import combo, literal
 from .derived import DerivedContext
@@ -94,32 +91,20 @@ class PeriodicAlgebra(combo.Algebra):
             alt = combo.alternating_sum(dims_a, i, range(m))
             twist += rep.euler(alt, dims_b[i])
 
-        # integer numerators over the common denominator q^e * lcm(aut); every
-        # connecting tuple carries the same e
-        connecting = self.derived.connecting_terms(a.classes, b.classes)
-        if not connecting:
-            return {}
-        q = self.field.q
-        e = connecting[0][1]
-        den = lcm(*(aut for _, _, aut, _ in connecting))
-        accum: dict = {}
-        for _, _, aut, terms in connecting:
-            weight = den // aut
-            for modules, n in terms:
-                accum[modules] = accum.get(modules, 0) + n * weight
-
+        # the Hall sum as integer numerators over q^e * den.  No M is in two
+        # groups: dim M_i = dim A_i + dim B_i - dim I_i - dim I_{i-1}, and for
+        # odd m the map I -> (I_i + I_{i-1})_i is invertible, so M fixes dim I
+        e, den, groups = self.derived.connecting_terms(a.classes, b.classes)
         # v^twist * q^-e = t^(4 twist - 8 e) = q^k t^r: one rational and one
         # scalar per output tuple
+        q = self.field.q
         k, r = divmod(4 * twist - 8 * e, 8)
-        if k >= 0:
-            scale = q**k
-        else:
-            scale, den = 1, den * q**-k
+        scale, den = (q**k, den) if k >= 0 else (1, den * q**-k)
         term = self.field.term
         return {
             PeriodicObject(modules): term(Fraction(num * scale, den), r)
-            for modules, num in accum.items()
-            if num
+            for terms in groups.values()
+            for modules, num in terms.items()
         }
 
     # -- parsing ------------------------------------------------------------------

@@ -195,22 +195,12 @@ class _VarLayout:
         slot = self.index.get((degree, vertex))
         return slot if slot is not None and slot[1] and slot[2] else None
 
-    @staticmethod
-    def _block(vec, offset, rows, cols) -> list:
-        return [vec[offset + i * cols : offset + (i + 1) * cols] for i in range(rows)]
-
-    def unflatten(self, vec):
-        """{degree: {vertex: matrix}} over the blocks that hold unknowns."""
-        out = {}
-        for degree, vertex, rows, cols, offset in self.blocks:
-            out.setdefault(degree, {})[vertex] = self._block(vec, offset, rows, cols)
-        return out
-
     def matrices(self, vec) -> dict:
         """{degree: per-vertex matrices}, empty blocks included."""
         out = {}
         for (degree, _), (offset, rows, cols) in self.index.items():
-            out.setdefault(degree, []).append(self._block(vec, offset, rows, cols))
+            block = [vec[offset + i * cols : offset + (i + 1) * cols] for i in range(rows)]
+            out.setdefault(degree, []).append(block)
         return {degree: tuple(mats) for degree, mats in out.items()}
 
 

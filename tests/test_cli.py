@@ -93,12 +93,14 @@ def test_parse_error_exit_code(capsys):
         ("--bound", "1_0"),
         ("--bound", "+1"),
         ("--bound", "1,"),
+        ("--q", "1_1"),
+        ("--m", "３"),
     ],
 )
 def test_malformed_quiver_or_bound_exit_code(capsys, flag, value):
-    argv = {"--quiver": "2; 1->2", "--bound": "1", flag: value}
+    argv = {"--quiver": "2; 1->2", "--bound": "1", "--q": "2", "--m": "3", flag: value}
     code, out, err = run(
-        capsys, "list", "--q", "2", "--quiver", argv["--quiver"],
+        capsys, "list", "--q", argv["--q"], "--m", argv["--m"], "--quiver", argv["--quiver"],
         "iso-classes", "--bound", argv["--bound"],
     )
     assert code == 2
@@ -356,7 +358,9 @@ def test_cap_flag_below_minimum_is_usage_error(capsys, flag, value):
     assert flag[2:] in err and "at least" in err
 
 
-@pytest.mark.parametrize("key, value", [("cap-dim", "-1"), ("cap-cell", "0")])
+@pytest.mark.parametrize(
+    "key, value", [("cap-dim", "-1"), ("cap-cell", "0"), ("q", "1_1")]
+)
 def test_config_rejects_cap_below_minimum(tmp_path, capsys, key, value):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"quiver = A2\n{key} = {value}\n", encoding="utf-8")
@@ -376,6 +380,17 @@ def test_verify_rejects_negative_counts(capsys, suite, flag):
     assert code == 2
     assert flag in err
     assert "passed" not in out
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--max-degrees", "--total-dim"])
+def test_verify_malformed_count_exit_code(capsys, flag):
+    # the counts are read by the literal grammar's int rule, not by int()
+    code, out, err = run(
+        capsys, "verify", "--quiver", "A2", "--q", "2", "--m", "3", "assoc", flag, "1_0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "integer literal '1_0'" in err
 
 
 def test_verify_assoc_with_no_nonzero_class_is_usage_error(capsys):

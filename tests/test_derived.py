@@ -322,9 +322,10 @@ def test_hall_factor_table_matches_fresh_context(q, m, monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_connecting_terms_match_rational_factors(m):
-    """Each (M, n) that connecting_terms yields for I satisfies
-    n * q^-e / aut = prod_i H_i(M_i), with the factors computed untabulated,
-    and the nonempty I are exactly those the untabulated factors allow."""
+    """Each num that connecting_terms yields for (dims, M) satisfies
+    num * q^-e / den = sum over the I with those dims of prod_i H_i(M_i),
+    with the factors computed untabulated, and the (dims, M) keys are
+    exactly those the untabulated factors allow."""
     d = DerivedContext(RepContext(Quiver.parse("A2"), 3))
     fresh = DerivedContext(d.rep)
     q = d.q
@@ -335,36 +336,42 @@ def test_connecting_terms_match_rational_factors(m):
         (tuple(rng.choice(nonzero) for _ in range(m)), tuple(rng.choice(nonzero) for _ in range(m)))
         for _ in range(6)
     ]
-    seen_aut = set()
+    seen_den = set()
     for A, B in pairs:
-        yielded = {}
-        for I, e, aut, terms in d.connecting_terms(A, B):
-            yielded[I] = terms
-            factors = untabulated_hall_factors(fresh, A, B, I)
-            assert factors is not None
-            assert [M for M, _ in terms] == list(product(*factors))
-            for M, n in terms:
-                assert isinstance(n, int)
-                want = 1
-                for i in range(m):
-                    want *= factors[i][M[i]]
-                assert n * Fraction(q) ** -e / aut == want
-            seen_aut.add(aut)
+        e, den, groups = d.connecting_terms(A, B)
+        assert e == sum(map(d.rep.hom_dim, A, B))
+        want = {}
         for I in product(classes, repeat=m):
             unpruned = all(
                 x <= min(y, z)
                 for i, c in enumerate(I)
                 for x, y, z in zip(c.dims, B[i].dims, A[(i + 1) % m].dims)
             )
-            if unpruned and I not in yielded:
-                assert untabulated_hall_factors(fresh, A, B, I) is None
-    # |Aut(S)| = q - 1 = 2 at q = 3: some aut is a product over positions
-    assert max(seen_aut) >= 2**m
+            factors = untabulated_hall_factors(fresh, A, B, I) if unpruned else None
+            if factors is None:
+                continue
+            group = want.setdefault(tuple(c.dims for c in I), {})
+            for M in product(*factors):
+                value = 1
+                for i in range(m):
+                    value *= factors[i][M[i]]
+                group[M] = group.get(M, 0) + value
+        assert {dims: set(terms) for dims, terms in groups.items()} == {
+            dims: set(terms) for dims, terms in want.items()
+        }
+        for dims, terms in groups.items():
+            for M, num in terms.items():
+                assert isinstance(num, int)
+                assert num * Fraction(q) ** -e / den == want[dims][M]
+        seen_den.add(den)
+    # |Aut(S)| = q - 1 = 2 at q = 3: some den is a product over positions
+    assert max(seen_den) >= 2**m
 
 
 def snapshot(connecting):
-    """A copy of a connecting_terms result that shares no list with it."""
-    return [(I, e, aut, list(terms)) for I, e, aut, terms in connecting]
+    """A copy of a connecting_terms result that shares no dict with it."""
+    e, den, groups = connecting
+    return e, den, {dims: dict(terms) for dims, terms in groups.items()}
 
 
 def test_connecting_memo_interleaved_with_both_twists():
@@ -424,9 +431,9 @@ def test_hall_exponent_is_hom_dim(dctx_factory, quiver, q):
     for _ in range(40):
         A = tuple(rng.choice(classes) for _ in range(3))
         B = tuple(rng.choice(classes) for _ in range(3))
-        connecting = d.connecting_terms(A, B)
-        assert {e for _, e, _, _ in connecting} <= {sum(map(rep.hom_dim, A, B))}
-        shared += len(connecting) > 1
+        e, _, groups = d.connecting_terms(A, B)
+        assert e == sum(map(rep.hom_dim, A, B))
+        shared += len(groups) > 1
     assert shared
 
 

@@ -29,18 +29,19 @@ def make_embedding(quiver, q, m):
 
 
 def periodic_product_oracle(P, a, b):
-    """u_a u_b with one Fraction weight per connecting tuple, summed per term."""
+    """u_a u_b with one Fraction per Hall-sum numerator, summed per term."""
     m, rep = P.m, P.rep
     dims_a = [cls.dims for cls in a.classes]
     dims_b = [cls.dims for cls in b.classes]
     twist = 0
     for i in range(m):
         twist += rep.euler(combo.alternating_sum(dims_a, i, range(m)), dims_b[i])
+    e, den, groups = P.derived.connecting_terms(a.classes, b.classes)
+    weight = Fraction(P.field.q) ** -e / den
     accum = {}
-    for _, e, aut, terms in P.derived.connecting_terms(a.classes, b.classes):
-        weight = Fraction(P.field.q) ** -e / aut
-        for modules, n in terms:
-            accum[modules] = accum.get(modules, 0) + n * weight
+    for terms in groups.values():
+        for modules, num in terms.items():
+            accum[modules] = accum.get(modules, 0) + num * weight
     return {
         PeriodicObject(modules): P.field.term(coeff, 4 * twist)
         for modules, coeff in accum.items()
@@ -65,9 +66,9 @@ def extended_product_oracle(E, x, y):
         a0 += rep.sym_t_units(alphas[i % m], betas[(i - 1) % m])
     a0 -= rep.sym_t_units(alphas[m - 1], betas[0])
 
+    e, den, groups = E.derived.connecting_terms(A, B)
     out = {}
-    for I, e, aut, terms in E.derived.connecting_terms(A, B):
-        dims_i = [cls.dims for cls in I]
+    for dims_i, terms in groups.items():
         dbl_i = [tuple(2 * t for t in v) for v in dims_i]
         inner = -rep.sym_t_units(
             dbl_i[m - 1], tuple(p + q for p, q in zip(alphas[0], betas[0]))
@@ -84,11 +85,11 @@ def extended_product_oracle(E, x, y):
             for i in range(m)
         )
         steps = [[s - t for s, t in zip(dims_i[i], dims_i[i - 1])] for i in range(m)]
-        for modules, n in terms:
+        for modules, num in terms.items():
             m_exp = 0
             for cls, step in zip(modules, steps):
                 m_exp += rep.euler(cls.dims, step)
-            scalar = E.field.term(Fraction(n, aut), base + 4 * m_exp)
+            scalar = E.field.term(Fraction(num, den), base + 4 * m_exp)
             combo.add_term(out, ExtendedBasisElement(modules, gammas), scalar)
     return out
 
@@ -140,6 +141,45 @@ def test_extended_product_matches_oracle_on_random_k_parts(m):
 
     for _ in range(150):
         x, y = element(), element()
+        assert_same_terms(E.basis_product(x, y), extended_product_oracle(E, x, y))
+
+
+# A2 pairs whose Hall sum has two connecting tuples of equal dims (1,1) at
+# position 0, (P1) and (S1+S2): the coefficient of the target adds 4 + 1 at
+# q=2, and 36/|Aut P1| + 16/|Aut(S1+S2)| = 18 + 4 at q=3
+EQUAL_DIMS_PAIRS = [
+    (1, "[P1+S2@0]", "[P1+S1@0]", "[S1+S2@0]"),
+    (3, "[P1+S2@1]", "[P1+S1@0]", "[S1@0 + S2@1]"),
+]
+
+
+@pytest.mark.parametrize("q, coefficient", [(2, "5*v^-3"), (3, "22*v^-3")])
+@pytest.mark.parametrize("m, lhs, rhs, target", EQUAL_DIMS_PAIRS)
+def test_connecting_tuples_with_equal_dims(q, coefficient, m, lhs, rhs, target):
+    emb = make_embedding("A2", q, m)
+    P, E = emb.periodic, emb.extended
+    a, b = P.parse_basis(lhs), P.parse_basis(rhs)
+    assert_same_terms(P.basis_product(a, b), periodic_product_oracle(P, a, b))
+    x, y = emb.phi_basis(a).basis, emb.phi_basis(b).basis
+    assert_same_terms(E.basis_product(x, y), extended_product_oracle(E, x, y))
+    product = P.multiply(P.monomial(a), P.monomial(b))
+    assert str(product.terms[P.parse_basis(target)]) == coefficient
+    assert emb.verify_homomorphism(a, b)["equal"]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_equal_dims_tuples_on_random_k_parts(q):
+    """The m=3 pair of EQUAL_DIMS_PAIRS at even period m=2, with random
+    half-lattice K-parts."""
+    E = ExtendedAlgebra(DerivedContext(RepContext(Quiver.parse("A2"), q)), 2)
+    A, B = E.parse_basis("[P1+S2@1]").classes, E.parse_basis("[P1+S1@0]").classes
+    rng = random.Random(q)
+
+    def alphas():
+        return [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+
+    for _ in range(20):
+        x, y = E.basis(A, alphas()), E.basis(B, alphas())
         assert_same_terms(E.basis_product(x, y), extended_product_oracle(E, x, y))
 
 
