@@ -11,7 +11,8 @@ The config file holds `key = value` lines mirroring the flags; explicit
 flags win.  Each shared option is declared once, in `_OPTIONS`, with its
 default, help text and allowed values or least value; the flags, the
 config reader, the range checks and the merge in `Settings` all read that
-table.  Every int flag and int config value is read by the literal grammar.
+table.  Every int flag and int config value is read by the literal grammar,
+and its parse error starts with the flag (`--q: ...`) or the config line.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
 3 even period where odd is required, 4 resource cap exceeded,
@@ -71,10 +72,19 @@ _EXIT_CODES = (
 )
 
 
-def _value(key: str, text: str):
+def _named(where: str, text: str, rule: str):
+    """text read by a rule of the literal grammar; a parse error starts with
+    where the text came from, a flag or a config line."""
+    try:
+        return literal.parse(text, rule)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def _value(key: str, text: str, where: str):
     """A flag or config value from its text; ints by the literal grammar."""
     if isinstance(_OPTIONS[key].default, int):
-        return literal.parse(text, "integer")
+        return _named(where, text, "integer")
     return text
 
 
@@ -102,10 +112,7 @@ def _read_config(path: str) -> dict:
                 key = key.strip()
                 if key not in _OPTIONS:
                     raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    values[key] = _value(key, value.strip())
-                except ParseError as exc:
-                    raise ParseError(f"{path}:{lineno}: {key}: {exc}") from exc
+                values[key] = _value(key, value.strip(), f"{path}:{lineno}: {key}")
                 problem = _bad_value(key, values[key])
                 if problem:
                     raise ParseError(f"{path}:{lineno}: {problem}")
@@ -131,7 +138,7 @@ class Settings:
         for key in _OPTIONS:
             flag = getattr(args, key.replace("-", "_"), None)
             if flag is not None:
-                flag = _value(key, flag)
+                flag = _value(key, flag, f"--{key}")
                 problem = _bad_value(key, flag)
                 if problem:
                     raise UsageError(f"--{problem}")
@@ -158,12 +165,12 @@ def _emit(settings: Settings, payload: dict, text: str) -> None:
         print(text)
 
 
-def _parse_bound(text: str, n: int):
-    values = literal.parse(text, "vector")
+def _parse_bound(text: str, n: int, flag: str):
+    values = _named(flag, text, "vector")
     if len(values) == 1:
         values = values * n
     if len(values) != n:
-        raise ParseError(f"bound needs 1 or {n} entries, got {len(values)}")
+        raise ParseError(f"{flag}: bound needs 1 or {n} entries, got {len(values)}")
     return values
 
 
@@ -210,13 +217,16 @@ def _verify_report(settings: Settings, args, report: dict) -> int:
 def _cmd_verify(args) -> int:
     settings = Settings(args)
     for flag in ("samples", "max_degrees", "total_dim"):
-        setattr(args, flag, literal.parse(getattr(args, flag), "integer"))
+        name = "--" + flag.replace("_", "-")
+        setattr(args, flag, _named(name, getattr(args, flag), "integer"))
         if getattr(args, flag) < 0:
-            raise UsageError(f"--{flag.replace('_', '-')} must be at least 0")
+            raise UsageError(f"{name} must be at least 0")
     rng = random.Random(settings.seed)
     dctx = settings.derived_context()
     n = dctx.rep.quiver.n
-    bound = _parse_bound(args.dim_bound, n) if args.dim_bound else (1,) * n
+    bound = (1,) * n
+    if args.dim_bound:
+        bound = _parse_bound(args.dim_bound, n, "--dim-bound")
 
     if args.suite == "assoc":
         algebras = [("extended", ExtendedAlgebra(dctx, settings.m))]
@@ -268,7 +278,7 @@ def _cmd_list(args) -> int:
     rep = dctx.rep
 
     if args.what == "iso-classes":
-        bound = _parse_bound(args.bound or "1", rep.quiver.n)
+        bound = _parse_bound(args.bound or "1", rep.quiver.n, "--bound")
         classes = rep.iso_classes_upto(bound)
         rows = [
             {"name": c.name, "dims": list(c.dims), "aut": rep.aut_count(c)}

@@ -9,6 +9,12 @@ twist) and `_literal_basis`, which turns the parsed pieces of a basis
 literal into its basis element.  Every class in a basis element must be
 one that the algebra's own `RepContext` interned.
 
+A basis product is a dict of integer records {basis: (num, den, n)}, each
+standing for num/den * t^n with an unreduced t-exponent n.  `multiply`
+turns each record into the scalar `field.term(Fraction(num, den), n)`; the
+only other code that builds scalars from records is the failure report of
+the embedding check.
+
 Each algebra caches its basis products.  The cache holds at most
 `PRODUCT_CACHE_SIZE` entries and evicts the oldest first, in constant time
 per insert, so a long verification sweep, which visits each pair once,
@@ -200,12 +206,13 @@ class Algebra:
     def multiply(self, x: Element, y: Element) -> Element:
         self._check_element(x)
         self._check_element(y)
+        term = self.field.term
         acc: dict = {}
         for a, sa in x.terms.items():
             for b, sb in y.terms.items():
                 coeff = sa * sb
-                for basis, s in self.basis_product(a, b).items():
-                    add_term(acc, basis, coeff * s)
+                for basis, (num, den, n) in self.basis_product(a, b).items():
+                    add_term(acc, basis, coeff * term(Fraction(num, den), n))
         return Element(self, acc)
 
     # -- parsing ------------------------------------------------------------------

@@ -19,19 +19,25 @@ the extended basis element.  phi scales by t^units through
 the module tuple, so phi is injective on basis elements by construction.
 
 `verify_homomorphism` checks phi(u_a u_b) = phi(u_a) phi(u_b) on basis
-elements.  A term s u_M of the periodic basis product u_a u_b maps to
-s t^units(M) on phi(u_M); the extended basis product of the two images
-carries t^(units(a) + units(b)).  Since t is invertible, the two sides
-agree on a basis element exactly when s t^(units(M) - units(a) - units(b))
-equals the extended coefficient there, so each term costs one exact
-t-shift and one dict lookup.  The two products come from the two
-independent multiplication pipelines; no element-level multiplication is
-involved.
+elements, in integers.  Both basis products are dicts of integer records
+(num, den, n) for num/den * t^n.  A term of the periodic product u_a u_b
+maps to its record times t^units(M) on phi(u_M); the extended basis
+product of the two images carries t^(units(a) + units(b)).  Since t is
+invertible, the two sides agree on a basis element exactly when the record
+(num, den, n + units(M) - units(a) - units(b)) names the same scalar as the
+extended record there (`_same_value`): equal tuples match at once, and
+otherwise the exponents must agree mod 8 and the rationals, with the
+q-power of the exponent difference moved to one side, must agree by cross
+multiplication.  The check builds no rational and no scalar unless it
+fails, when `_first_diff` reports the first difference as scalars.  The
+two products come from the two independent multiplication pipelines; no
+element-level multiplication is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .combo import Element, add_term, alternating_sum
 from .errors import UsageError
@@ -57,6 +63,31 @@ def phi_exponent_t_units(dims, m: int, euler) -> int:
     for i in range(m):
         units += 4 * euler(dims[i], alternating_sum(dims, i, range(1, m)))
     return units
+
+
+def _same_value(record: tuple, other, q: int) -> bool:
+    """Whether two records (num, den, n), each num/den * t^n in Q[t]/(t^8 -
+    q), name the same scalar; other may be None, a missing term, which no
+    record equals (as no scalar equals None).
+
+    t^n = q^k t^r with n = 8k + r, 0 <= r < 8, and the t^r are a basis over
+    Q, so nonzero values agree exactly when their exponents agree mod 8 and
+    num/den * q^j == num'/den' with n - n' = 8j.
+    """
+    if record == other:
+        return True
+    if other is None:
+        return False
+    num, den, n = record
+    num2, den2, n2 = other
+    if not num or not num2:
+        return not num and not num2
+    j, r = divmod(n - n2, 8)
+    if r:
+        return False
+    if j >= 0:
+        return num * den2 * q**j == num2 * den
+    return num * den2 == num2 * den * q**-j
 
 
 class Embedding:
@@ -107,24 +138,24 @@ class Embedding:
         phi sends distinct basis elements to distinct basis elements, and
         every phi scalar is a t-power, so both sides are read off the two
         cached basis products term by term.  The left side keeps each
-        periodic coefficient s with the exponent units(M) of its image; it
-        equals the extended coefficient c of phi(a) phi(b) at that image
-        exactly when s t^(units(M) - units(a) - units(b)) == c.  With equal
-        term counts, that is dict equality of the two scaled sides.  Only a
-        failing check scales both sides, to report the first difference.
+        periodic record (num, den, n) at the image of its basis element,
+        with n shifted by units(M) - units(a) - units(b); it equals the
+        extended record there when both name one scalar (`_same_value`).
+        With equal term counts, that is equality of the two sides.  Only a
+        failing check builds scalars, to report the first difference.
         """
         phi = self.phi_basis
-        lhs = {}
-        for basis, s in self.periodic.basis_product(a, b).items():
-            image = phi(basis)
-            lhs[image.basis] = (s, image.units)
         image_a = phi(a)
         image_b = phi(b)
-        rhs = self.extended.basis_product(image_a.basis, image_b.basis)
         shift = image_a.units + image_b.units
+        lhs = {}
+        for basis, (num, den, n) in self.periodic.basis_product(a, b).items():
+            image = phi(basis)
+            lhs[image.basis] = (num, den, n + image.units - shift)
+        rhs = self.extended.basis_product(image_a.basis, image_b.basis)
+        q = self.field.q
         equal = len(lhs) == len(rhs) and all(
-            s.times_t(units - shift) == rhs.get(basis)
-            for basis, (s, units) in lhs.items()
+            _same_value(record, rhs.get(basis), q) for basis, record in lhs.items()
         )
         report = {
             "pair": [str(a), str(b)],
@@ -133,10 +164,17 @@ class Embedding:
             "rhs_terms": len(rhs),
         }
         if not equal:
+            # both sides times t^shift: phi(a b) against phi(a) phi(b)
+            term = self.field.term
+
+            def scalars(records: dict) -> dict:
+                return {
+                    basis: term(Fraction(num, den), n + shift)
+                    for basis, (num, den, n) in records.items()
+                }
+
             report["first_diff"] = self._first_diff(
-                {basis: s.times_t(units) for basis, (s, units) in lhs.items()},
-                {basis: s.times_t(shift) for basis, s in rhs.items()},
-                self.field,
+                scalars(lhs), scalars(rhs), self.field
             )
         return report
 

@@ -12,8 +12,10 @@ The product carries the full twist
 with a0 and the inner exponent spelled out in `_basis_product`.  The
 Hall sum arrives from `DerivedContext.connecting_terms` as integers num
 over q^e * den, grouped by the dims of the connecting tuple I, all the
-twist reads of I; q^-e = t^(-8e) joins the t-exponent k, and with k =
-8j + r each output term is one scalar (num * q^j / den) * t^r.
+twist reads of I; q^-e = t^(-8e) joins the t-exponent.  A basis product
+is a dict of integer records {basis: (num, den, n)}, each standing for
+num/den * t^n with the unreduced exponent n = a0 + inner - 8e of its
+group; it builds no rational and no scalar.
 
 What depends on the dims of I alone (its doubled dimension vectors and the
 I-I part of the exponent) is tabulated once per algebra.
@@ -23,7 +25,7 @@ them into one functional per position (`Quiver.euler_left` and
 dim I_i - dim I_{i-1} (`DerivedContext` checks this at each Hall-table
 fill), so the output pairing sum_i <M_i, I_i - I_{i-1}> splits into a
 part linear in I, which joins those functionals, and an I-I part: the
-exponent is one per group, and a term costs one rational.
+exponent is one per group, and a term costs one record.
 
 Sums of the shape "i = 1..m-1 over pairings" follow the single-term
 convention at m = 1 (the i = 1 term, indices mod m), which makes them
@@ -33,8 +35,7 @@ over k = 1..m-1 are genuinely empty at m = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from operator import add, mul
 
 from . import combo, literal
@@ -52,6 +53,14 @@ class ExtendedBasisElement:
 
     classes: tuple
     alphas: tuple  # per degree, tuple of doubled integers
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # hashed once: products and the embedding check look bases up by key
+        object.__setattr__(self, "_hash", hash((self.classes, self.alphas)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def m(self) -> int:
@@ -175,13 +184,11 @@ class ExtendedAlgebra(combo.Algebra):
             step = zip(couple[i], left[i], left[(i + 1) % m])
             couple[i] = [c + 2 * (s - t) for c, s, t in step]
 
-        q = self.field.q
-        term = self.field.term
         table = self._tuple_table
         e, den, groups = self.derived.connecting_terms(A, B)
         out: dict = {}
         # distinct groups have distinct K-indices 2 dim I + alpha + beta, so
-        # no output basis element repeats and each gets one scalar
+        # no output basis element repeats and each gets one record
         for dims, terms in groups.items():
             data = table.get(dims)
             if data is None:
@@ -190,14 +197,12 @@ class ExtendedAlgebra(combo.Algebra):
             for d2, c in zip(dbl, couple):
                 inner += sum(map(mul, d2, c))
             # q^-e = t^(-8e) joins the t-exponent
-            k, r = divmod(a0 + inner - 8 * e, 8)
-            scale, den_k = (q**k, den) if k >= 0 else (1, den * q**-k)
+            n = a0 + inner - 8 * e
             gammas = tuple(
                 tuple(d2 + s for d2, s in zip(dbl[i], ab[i])) for i in range(m)
             )
             for modules, num in terms.items():
-                c = Fraction(num * scale, den_k)
-                out[ExtendedBasisElement(modules, gammas)] = term(c, r)
+                out[ExtendedBasisElement(modules, gammas)] = (num, den, n)
         return out
 
     # -- parsing ------------------------------------------------------------------

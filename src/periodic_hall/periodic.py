@@ -12,7 +12,11 @@ position:
 where twist = sum_i < sum_k (-1)^k [A_{i+k}], [B_i] >.  The Hall sum
 arrives from `DerivedContext.connecting_terms` as one integer num per output
 tuple M over one denominator q^e * den for the pair; only the twist is
-computed here, and each M becomes one rational and one scalar.
+computed here.  A basis product is a dict of integer records
+{u_M: (num, den, n)}, each standing for num/den * t^n with the unreduced
+exponent n = 4 twist - 8e; it builds no rational and no scalar.  Scalars
+are built only by `Algebra.multiply`, by `Embedding.phi` and by the
+failure report of the embedding check.
 
 Only odd m is accepted: without the extension by K-elements the even
 periodic multiplication is not defined.
@@ -20,8 +24,7 @@ periodic multiplication is not defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import combo, literal
@@ -34,6 +37,14 @@ class PeriodicObject:
     """Basis element: one module class per degree in Z_m."""
 
     classes: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # hashed once: products and the embedding check look bases up by key
+        object.__setattr__(self, "_hash", hash(self.classes))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def m(self) -> int:
@@ -95,14 +106,10 @@ class PeriodicAlgebra(combo.Algebra):
         # groups: dim M_i = dim A_i + dim B_i - dim I_i - dim I_{i-1}, and for
         # odd m the map I -> (I_i + I_{i-1})_i is invertible, so M fixes dim I
         e, den, groups = self.derived.connecting_terms(a.classes, b.classes)
-        # v^twist * q^-e = t^(4 twist - 8 e) = q^k t^r: one rational and one
-        # scalar per output tuple
-        q = self.field.q
-        k, r = divmod(4 * twist - 8 * e, 8)
-        scale, den = (q**k, den) if k >= 0 else (1, den * q**-k)
-        term = self.field.term
+        # v^twist * q^-e = t^(4 twist - 8 e): one record per output tuple
+        n = 4 * twist - 8 * e
         return {
-            PeriodicObject(modules): term(Fraction(num * scale, den), r)
+            PeriodicObject(modules): (num, den, n)
             for terms in groups.values()
             for modules, num in terms.items()
         }

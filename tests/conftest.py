@@ -1,5 +1,7 @@
-"""Shared fixtures: contexts are expensive to warm up, so cache per session."""
+"""Shared fixtures: contexts are expensive to warm up, so cache per session.
+Also the helper that reads basis products as scalars."""
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -41,3 +43,16 @@ def a2_q3():
 @pytest.fixture
 def a1_q2():
     return _derived_context("A1", 2)
+
+
+def record_scalar(field, record):
+    """A basis-product record (num, den, n) as the scalar num/den * t^n, built
+    as `Algebra.multiply` builds it."""
+    num, den, n = record
+    return field.term(Fraction(num, den), n)
+
+
+def product_scalars(algebra, product: dict) -> dict:
+    """A basis product {basis: record} of algebra as {basis: scalar}, in its
+    term order."""
+    return {basis: record_scalar(algebra.field, r) for basis, r in product.items()}

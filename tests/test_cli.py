@@ -393,6 +393,55 @@ def test_verify_malformed_count_exit_code(capsys, flag):
     assert "integer literal '1_0'" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--q", "1_1"),
+        ("--m", "３"),
+        ("--cap-dim", "+1"),
+        ("--bound", "1_0"),
+        ("--bound", "1,1,1"),
+    ],
+)
+def test_list_parse_error_names_the_flag(capsys, flag, value):
+    argv = {"--q": "2", "--m": "3", "--cap-dim": "14", "--bound": "1", flag: value}
+    code, out, err = run(
+        capsys, "list", "--quiver", "A2", "--q", argv["--q"], "--m", argv["--m"],
+        "--cap-dim", argv["--cap-dim"], "iso-classes", "--bound", argv["--bound"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--samples", "1_0"),
+        ("--max-degrees", "+2"),
+        ("--total-dim", "3,"),
+        ("--dim-bound", "1_1"),
+        ("--dim-bound", "1,1,1"),
+    ],
+)
+def test_verify_parse_error_names_the_flag(capsys, flag, value):
+    code, out, err = run(
+        capsys, "verify", "--quiver", "A2", "--q", "2", "--m", "3", "assoc",
+        "--samples", "2", flag, value,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag}: ")
+
+
+def test_config_parse_error_names_the_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("quiver = A2\nq = 1_1\n", encoding="utf-8")
+    code, _, err = run(capsys, "list", "--config", str(cfg), "iso-classes")
+    assert code == 2
+    assert err.startswith(f"error: {cfg}:2: q: expected the end at '_'")
+
+
 def test_verify_assoc_with_no_nonzero_class_is_usage_error(capsys):
     code, out, err = run(
         capsys, "verify", "--quiver", "A2", "--q", "2", "--m", "3",

@@ -1,19 +1,23 @@
 """The basis-wise embedding of the periodic algebra into the extended one."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import product_scalars, record_scalar
 
 from periodic_hall.embed import (
     Embedding,
     PhiImage,
     check_identity_3_2,
     phi_exponent_t_units,
+    _same_value,
 )
 from periodic_hall.errors import EvenPeriodError, UsageError
 from periodic_hall.extended import ExtendedAlgebra
 from periodic_hall.periodic import PeriodicAlgebra
+from periodic_hall.scalar import ScalarField
 from periodic_hall.suites import (
     embedding_sweep,
     periodic_basis_elements,
@@ -307,12 +311,15 @@ def test_basis_check_matches_element_oracle(a2_q2):
 def reference_report(emb, a, b) -> dict:
     """The check as first written: both sides scaled by generic products."""
     lhs = {}
-    for basis, s in emb.periodic.basis_product(a, b).items():
+    product = product_scalars(emb.periodic, emb.periodic.basis_product(a, b))
+    for basis, s in product.items():
         image = emb.phi_basis(basis)
         lhs[image.basis] = s * emb.field.v_power(image.units)
     image_a, image_b = emb.phi_basis(a), emb.phi_basis(b)
     c = emb.field.v_power(image_a.units) * emb.field.v_power(image_b.units)
-    product = emb.extended.basis_product(image_a.basis, image_b.basis)
+    product = product_scalars(
+        emb.extended, emb.extended.basis_product(image_a.basis, image_b.basis)
+    )
     rhs = {basis: c * s for basis, s in product.items()}
     report = {
         "pair": [str(a), str(b)],
@@ -325,6 +332,31 @@ def reference_report(emb, a, b) -> dict:
     return report
 
 
+def shift_degree_1_images(emb, monkeypatch, units):
+    """Make phi off by t^units on every image with a nonzero class at degree 1."""
+    original = emb.phi_basis
+
+    def shifted(basis):
+        image = original(basis)
+        if basis.classes[1].is_zero:
+            return image
+        return PhiImage(image.units + units, image.basis)
+
+    monkeypatch.setattr(emb, "phi_basis", shifted)
+
+
+def failures_as_in_reference(emb, elements) -> int:
+    """How many pairs fail the check, each report equal to the reference."""
+    failed = 0
+    for a in elements:
+        for b in elements:
+            report = emb.verify_homomorphism(a, b)
+            assert report == reference_report(emb, a, b)
+            failed += not report["equal"]
+            assert ("first_diff" in report) is not report["equal"]
+    return failed
+
+
 def test_report_matches_generic_product_reference(a2_q3, monkeypatch):
     """Every report of A2 bound (1,1) at q=3, m=3 equals the reference built
     with generic scalar products, before and after a fault in phi that makes
@@ -335,24 +367,91 @@ def test_report_matches_generic_product_reference(a2_q3, monkeypatch):
         for b in elements:
             assert emb.verify_homomorphism(a, b) == reference_report(emb, a, b)
 
-    # off by t^3 on every image with a nonzero class at degree 1
-    original = emb.phi_basis
+    shift_degree_1_images(emb, monkeypatch, 3)
+    failed = failures_as_in_reference(emb, elements)
+    assert 0 < failed < len(elements) ** 2
 
-    def shifted(basis):
-        image = original(basis)
-        if basis.classes[1].is_zero:
-            return image
-        return PhiImage(image.units + 3, image.basis)
 
-    monkeypatch.setattr(emb, "phi_basis", shifted)
-    failed = 0
+def test_fault_by_a_power_of_q_fails_as_in_reference(a2_q3, monkeypatch):
+    """A phi fault of t^8 = q keeps every exponent's residue mod 8, so only
+    the cross-multiplied rationals can catch it; it fails on exactly the
+    pairs where the generic-product reference fails."""
+    emb = make_embedding(a2_q3, 3)
+    elements = periodic_basis_elements(emb.periodic, (1, 1))
+    shift_degree_1_images(emb, monkeypatch, 8)
+    failed = failures_as_in_reference(emb, elements)
+    assert 0 < failed < len(elements) ** 2
+
+
+# records equal in value to (num, den, n) but not as tuples, for a prime q;
+# the first two move the q-power one way and the other, the last scales both
+REWRITES = {
+    "q-num": lambda num, den, n, q: (num * q, den, n - 8),
+    "q-den": lambda num, den, n, q: (num, den * q, n + 8),
+    "scaled": lambda num, den, n, q: (2 * num, 2 * den, n),
+}
+
+
+@pytest.mark.parametrize("rewrite", sorted(REWRITES))
+@pytest.mark.parametrize("q, m", [(2, 1), (3, 3)])
+def test_check_reads_records_by_value(dctx_factory, monkeypatch, rewrite, q, m):
+    """With every extended record rewritten to an equal value in another
+    form, every A2 bound (1,1) report is still equal."""
+    emb = make_embedding(dctx_factory("A2", q), m)
+    original = emb.extended.basis_product
+    form = REWRITES[rewrite]
+
+    def rewritten(x, y):
+        return {b: form(*r, q) for b, r in original(x, y).items()}
+
+    monkeypatch.setattr(emb.extended, "basis_product", rewritten)
+    elements = periodic_basis_elements(emb.periodic, (1, 1))
     for a in elements:
         for b in elements:
-            report = emb.verify_homomorphism(a, b)
-            assert report == reference_report(emb, a, b)
-            failed += not report["equal"]
-            assert ("first_diff" in report) is not report["equal"]
-    assert 0 < failed < len(elements) ** 2
+            assert emb.verify_homomorphism(a, b)["equal"], (a, b)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_same_value_agrees_with_scalar_equality(q):
+    """_same_value on records against == on the scalars that multiply builds
+    from them, on random pairs of records and on a missing term."""
+    field = ScalarField(q)
+    rng = random.Random(q)
+
+    def record():
+        num = rng.randint(-4, 4) * q ** rng.randint(0, 2)
+        return num, rng.choice((1, 2, 3, q, 2 * q, q * q)), rng.randint(-20, 20)
+
+    def other(x):
+        num, den, n = x
+        j = rng.randint(-2, 2)
+        c = rng.choice((1, -1, 2))
+        return rng.choice(
+            (
+                None,
+                record(),
+                x,
+                (num, den, n + rng.randint(1, 7)),  # another residue mod 8
+                (c * num * q ** max(j, 0), c * den * q ** max(-j, 0), n - 8 * j),
+                (num * q ** max(j, 0) + 1, den * q ** max(-j, 0), n - 8 * j),
+                (0, den, rng.randint(-20, 20)),
+            )
+        )
+
+    outcomes = Counter()
+    for _ in range(3000):
+        x = record()
+        y = other(x)
+        scalar = None if y is None else record_scalar(field, y)
+        want = record_scalar(field, x) == scalar
+        got = _same_value(x, y, q)
+        assert got is want, (x, y)
+        outcomes[got, y is None, x == y] += 1
+    # both verdicts, on equal and unequal tuples, and a missing term
+    assert {(True, False, True), (True, False, False), (False, False, False)} <= set(
+        outcomes
+    )
+    assert outcomes[False, True, False]
 
 
 def test_colliding_images_fail_the_check(a2_q2, monkeypatch):

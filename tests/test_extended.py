@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from conftest import product_scalars
 
 from periodic_hall.errors import ParseError
 from periodic_hall.extended import ExtendedAlgebra, ExtendedBasisElement
@@ -186,8 +187,8 @@ def test_structure_constants_match_periodic(a2_q2):
     for _ in range(8):
         A = sample_module_tuple(ctx, rng, m, (1, 1))
         B = sample_module_tuple(ctx, rng, m, (1, 1))
-        ext = E.basis_product(E.basis(A), E.basis(B))
-        per = P.basis_product(P.basis(A), P.basis(B))
+        ext = product_scalars(E, E.basis_product(E.basis(A), E.basis(B)))
+        per = product_scalars(P, P.basis_product(P.basis(A), P.basis(B)))
 
         # strip twists: group extended terms by module tuple
         recovered = {}

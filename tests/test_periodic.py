@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import product_scalars
 
 from periodic_hall.errors import EvenPeriodError, ParseError
 from periodic_hall.periodic import PeriodicAlgebra
@@ -140,7 +141,7 @@ def test_coefficient_positivity(a2_q3):
     for _ in range(12):
         a = P.basis(sample_module_tuple(ctx, rng, 3, (1, 1)))
         b = P.basis(sample_module_tuple(ctx, rng, 3, (1, 1)))
-        for scalar in P.basis_product(a, b).values():
+        for scalar in product_scalars(P, P.basis_product(a, b)).values():
             mono = scalar.as_monomial()
             assert mono is not None and mono[0] > 0
 
