@@ -5,9 +5,11 @@ algebra.  `Algebra` holds everything DH_m and DH^e_m do alike: the period
 check, element builders, the bilinear extension of the basis product and
 the reading of element and basis literals through `literal`.  Each
 subclass supplies `_basis_type`, `basis`, `basis_product` (its own product
-twist) and `_literal_basis`, which turns the parsed pieces of a basis
-literal into its basis element.  Every class in a basis element must be
-one that the algebra's own `RepContext` interned.
+twist), `_operand_data` (the functionals of one operand that its twist
+reads, which `_operand` keeps per operand) and `_literal_basis`, which
+turns the parsed pieces of a basis literal into its basis element.  Every
+class in a basis element must be one that the algebra's own `RepContext`
+interned.
 
 A basis product is a dict of integer records {basis: (num, den, n)}, each
 standing for num/den * t^n with an unreduced t-exponent n.  `multiply`
@@ -152,6 +154,7 @@ class Algebra:
         self.field = derived.field
         self.m = m
         self._product_cache: OrderedDict = OrderedDict()
+        self._operands: dict = {}  # basis element -> _operand_data
 
     # -- element builders -----------------------------------------------------
 
@@ -202,6 +205,14 @@ class Algebra:
             cache.popitem(last=False)
         cache[key] = product
         return product
+
+    def _operand(self, x) -> tuple:
+        """The twist functionals of basis element x (`_operand_data`), computed
+        once per operand: a twist is bilinear, so a pair costs dot products."""
+        data = self._operands.get(x)
+        if data is None:
+            data = self._operands[x] = self._operand_data(x)
+        return data
 
     def multiply(self, x: Element, y: Element) -> Element:
         self._check_element(x)

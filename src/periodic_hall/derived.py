@@ -338,7 +338,7 @@ class DerivedContext:
         self._stalk_res: dict = {}
         self._res_cache: dict = {}
         self._fiber_cache: dict = {}
-        self._hall_table: dict = {}  # (A_i, B_i, I_i, I_{i-1}) keys -> {M: n}
+        self._hall_table: dict = {}  # (A_i, B_i, I_i, I_{i-1}) -> {M: n}
         self._connecting_memo = None  # (A, B, connecting_terms(A, B))
 
     # -- graded objects -----------------------------------------------------
@@ -517,7 +517,10 @@ class DerivedContext:
 
         I_i is pruned to dim I_i <= min(B_i, A_{i+1}), as I_i must embed into
         B_i and be a quotient of A_{i+1}; pruned terms vanish (the tests
-        spot-check this against the unpruned factors).  The last pair's
+        spot-check this against the unpruned factors).  The candidate lists
+        come from `RepContext.iso_classes_upto`, which returns a bound seen
+        before without validating it again, and the table is keyed by the
+        interned classes, which hash by identity.  The last pair's
         result is kept in a one-slot memo: phi keeps module tuples, so the
         extended product of phi(a), phi(b) reuses the pass of the periodic
         product of a, b.  Callers must not mutate the result.
@@ -536,7 +539,7 @@ class DerivedContext:
         for I in product(*candidates):
             counts = []
             for i in range(m):
-                key = (A[i].key, B[i].key, I[i].key, I[i - 1].key)
+                key = (A[i], B[i], I[i], I[i - 1])
                 fiber = table.get(key)
                 if fiber is None:
                     fiber = table[key] = self._hall_fibers(A[i], B[i], I[i], I[i - 1])

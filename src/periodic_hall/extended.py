@@ -9,23 +9,34 @@ The product carries the full twist
 
     v^{a0} * v^{inner(I, M)} * prod_i H(...)/|Aut(I_i)| * u_M * K(I + alpha + beta)
 
-with a0 and the inner exponent spelled out in `_basis_product`.  The
-Hall sum arrives from `DerivedContext.connecting_terms` as integers num
-over q^e * den, grouped by the dims of the connecting tuple I, all the
-twist reads of I; q^-e = t^(-8e) joins the t-exponent.  A basis product
-is a dict of integer records {basis: (num, den, n)}, each standing for
-num/den * t^n with the unreduced exponent n = a0 + inner - 8e of its
-group; it builds no rational and no scalar.
+with a0 and the inner exponent spelled out in `_operand_data` and
+`_tuple_data`.  The Hall sum arrives from `DerivedContext.connecting_terms`
+as integers num over q^e * den, grouped by the dims of the connecting
+tuple I, all the twist reads of I; q^-e = t^(-8e) joins the t-exponent.
+A basis product is a dict of integer records {basis: (num, den, n)}, each
+standing for num/den * t^n with the unreduced exponent n = a0 + inner - 8e
+of its group; it builds no rational and no scalar.
 
-What depends on the dims of I alone (its doubled dimension vectors and the
-I-I part of the exponent) is tabulated once per algebra.
-The pairings of I with alpha + beta are linear in I, so each pair turns
-them into one functional per position (`Quiver.euler_left` and
-`euler_right`).  Every output class has dim M_i = dim A_i + dim B_i -
-dim I_i - dim I_{i-1} (`DerivedContext` checks this at each Hall-table
-fill), so the output pairing sum_i <M_i, I_i - I_{i-1}> splits into a
-part linear in I, which joins those functionals, and an I-I part: the
-exponent is one per group, and a term costs one record.
+a0 is bilinear in the two operands.  With l = `Quiver.euler_left`, r =
+`euler_right` and S(k) = l(k) + r(k), so that the symmetric pairing
+(k, d) is S(k) . d,
+
+    a0 = sum_j [4 l(A_j) + 2 S(alpha_j) - 2 S(alpha_{j-1})] . B_j
+         + sum_j c_j(alpha) . beta_j,
+    c_j(alpha) = sum_{i = 1..m-1, i - 1 = j mod m} S(alpha_i)
+                 - [j = 0] S(alpha_{m-1}),
+
+which is left(x) . right(y), with right(y) the flat dims and K-indices of
+y.  What depends on the dims of I alone (its doubled dimension vectors and
+the I-I part of the exponent) is tabulated once per algebra.  The rest of
+the inner exponent is linear in I: its pairings with alpha + beta, and,
+since every output class has dim M_i = dim A_i + dim B_i - dim I_i -
+dim I_{i-1} (`DerivedContext` checks this at each Hall-table fill), the
+part of the output pairing sum_i <M_i, I_i - I_{i-1}> that is not I-I.
+That part is (dbl I) . (couple(x) + couple(y)), with couple linear in one
+operand.  So each algebra keeps one table keyed by the operand, holding
+its left, right and couple functionals; a pair costs two dot products and
+each group of the Hall sum one more, and a term costs one record.
 
 Sums of the shape "i = 1..m-1 over pairings" follow the single-term
 convention at m = 1 (the i = 1 term, indices mod m), which makes them
@@ -36,7 +47,7 @@ over k = 1..m-1 are genuinely empty at m = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, mul
+from operator import add, mul, sub
 
 from . import combo, literal
 from .errors import ParseError, UsageError
@@ -129,63 +140,72 @@ class ExtendedAlgebra(combo.Algebra):
         return cached
 
     def _tuple_data(self, dims) -> tuple:
-        """(doubled dims, I-I part of the exponent) of a connecting tuple I
-        with dimension vectors dims, all this twist reads of I.  The I-I part
-        of 4 sum_i <M_i, I_i - I_{i-1}> is -4 sum_i <I_i + I_{i-1}, I_i -
-        I_{i-1}> = 4 sum_i (<I_i, I_{i-1}> - <I_{i-1}, I_i>)."""
+        """(doubled dims, flat over positions, and the I-I part of the
+        exponent) of a connecting tuple I with dimension vectors dims, all
+        this twist reads of I.  The I-I part of 4 sum_i <M_i, I_i - I_{i-1}>
+        is -4 sum_i <I_i + I_{i-1}, I_i - I_{i-1}> = 4 sum_i (<I_i, I_{i-1}>
+        - <I_{i-1}, I_i>)."""
         m = self.m
         quiver = self.rep.quiver
-        dbl = [tuple(2 * t for t in v) for v in dims]
         inner = 0
         for i in convention_range(m):
             inner += 4 * quiver.euler(dims[(i - 1) % m], dims[i % m])
         inner -= 4 * quiver.euler(dims[0], dims[m - 1])
         for now, before in zip(dims, dims[-1:] + dims[:-1]):
             inner += 4 * (quiver.euler(now, before) - quiver.euler(before, now))
-        return dbl, inner
+        return [2 * t for v in dims for t in v], inner
 
-    def _basis_product(self, x: ExtendedBasisElement, y: ExtendedBasisElement) -> dict:
+    def _operand_data(self, x: ExtendedBasisElement) -> tuple:
+        """(left, right, couple) of x = (A, alpha), flat over positions: a0 of
+        a pair is left(x) . right(y), and its part linear in a connecting
+        tuple I is (dbl I) . (couple(x) + couple(y))."""
         m = self.m
-        rep = self.rep
-        quiver = rep.quiver
-        A, alphas = x.classes, x.alphas
-        B, betas = y.classes, y.alphas
-        dims_a = [cls.dims for cls in A]
-        dims_b = [cls.dims for cls in B]
+        quiver = self.rep.quiver
+        dims = [cls.dims for cls in x.classes]
+        alphas = x.alphas
+        l_dims = [quiver.euler_left(v) for v in dims]
+        sym = [list(map(add, quiver.euler_left(a), quiver.euler_right(a))) for a in alphas]
 
-        # prefactor exponent a0, in quarter units of v
-        a0 = 0
-        for i in range(m):
-            a0 += 4 * rep.euler(dims_a[i], dims_b[i])
-        for i in range(m):
-            delta = [2 * (s - t) for s, t in zip(dims_b[i], dims_b[(i + 1) % m])]
-            a0 += rep.sym_t_units(alphas[i], delta)
+        # 4 <A_j, B_j> + (alpha_j, 2 B_j) - (alpha_{j-1}, 2 B_j), and the
+        # K-K pairings sum_{i=1..m-1} (alpha_i, beta_{i-1}) - (alpha_{m-1}, beta_0)
+        left = []
+        for j in range(m):
+            left += [4 * u + 2 * (s - p) for u, s, p in zip(l_dims[j], sym[j], sym[j - 1])]
+        pairing = [[0] * quiver.n for _ in range(m)]
         for i in convention_range(m):
-            a0 += rep.sym_t_units(alphas[i % m], betas[(i - 1) % m])
-        a0 -= rep.sym_t_units(alphas[m - 1], betas[0])
+            j = (i - 1) % m
+            pairing[j] = list(map(add, pairing[j], sym[i % m]))
+        pairing[0] = list(map(sub, pairing[0], sym[m - 1]))
+        for c in pairing:
+            left += c
+        right = [t for v in dims for t in v] + [t for v in alphas for t in v]
 
-        # the part of the exponent linear in I is sum_i (dbl I_i) . couple[i].
-        # The I-to-(alpha+beta) coupling must use the symmetric form: with
-        # the plain Euler pairing the algebra fails associativity.  It is
-        # (d, ab) = d . (l(ab) + r(ab))
-        ab = [tuple(map(sum, zip(alpha, beta))) for alpha, beta in zip(alphas, betas)]
-        sym = [
-            [s + t for s, t in zip(quiver.euler_left(v), quiver.euler_right(v))]
-            for v in ab
-        ]
+        # the I-to-K coupling must use the symmetric form: with the plain
+        # Euler pairing the algebra fails associativity.  Its share from x is
+        # sum_{i=1..m-1} (dbl I_i, alpha_{i-1}) - (dbl I_{m-1}, alpha_0); the
+        # part of 4 sum_i <M_i, I_i - I_{i-1}> linear in I adds
+        # 2 (l(A_i) - l(A_{i+1})) . (dbl I_i)
         couple = [[0] * quiver.n for _ in range(m)]
         couple[m - 1] = [-s for s in sym[0]]
         for i in convention_range(m):
-            couple[i % m] = [c + s for c, s in zip(couple[i % m], sym[(i - 1) % m])]
-        # the part of 4 sum_i <M_i, I_i - I_{i-1}> linear in I:
-        # sum_i 2 (l(A_i + B_i) - l(A_{i+1} + B_{i+1})) . (dbl I_i)
-        left = [quiver.euler_left(list(map(add, u, w))) for u, w in zip(dims_a, dims_b)]
+            couple[i % m] = list(map(add, couple[i % m], sym[(i - 1) % m]))
+        flat = []
         for i in range(m):
-            step = zip(couple[i], left[i], left[(i + 1) % m])
-            couple[i] = [c + 2 * (s - t) for c, s, t in step]
+            step = zip(couple[i], l_dims[i], l_dims[(i + 1) % m])
+            flat += [c + 2 * (s - t) for c, s, t in step]
+        return left, right, flat
+
+    def _basis_product(self, x: ExtendedBasisElement, y: ExtendedBasisElement) -> dict:
+        left, _, couple_x = self._operand(x)
+        _, right, couple_y = self._operand(y)
+        # prefactor exponent a0, in quarter units of v
+        a0 = sum(map(mul, left, right))
+        couple = list(map(add, couple_x, couple_y))
+        ab = [s + t for alpha, beta in zip(x.alphas, y.alphas) for s, t in zip(alpha, beta)]
+        width = self.rep.quiver.n
 
         table = self._tuple_table
-        e, den, groups = self.derived.connecting_terms(A, B)
+        e, den, groups = self.derived.connecting_terms(x.classes, y.classes)
         out: dict = {}
         # distinct groups have distinct K-indices 2 dim I + alpha + beta, so
         # no output basis element repeats and each gets one record
@@ -194,13 +214,10 @@ class ExtendedAlgebra(combo.Algebra):
             if data is None:
                 data = table[dims] = self._tuple_data(dims)
             dbl, inner = data
-            for d2, c in zip(dbl, couple):
-                inner += sum(map(mul, d2, c))
             # q^-e = t^(-8e) joins the t-exponent
-            n = a0 + inner - 8 * e
-            gammas = tuple(
-                tuple(d2 + s for d2, s in zip(dbl[i], ab[i])) for i in range(m)
-            )
+            n = a0 + inner + sum(map(mul, dbl, couple)) - 8 * e
+            flat = list(map(add, dbl, ab))
+            gammas = tuple(tuple(flat[k : k + width]) for k in range(0, len(flat), width))
             for modules, num in terms.items():
                 out[ExtendedBasisElement(modules, gammas)] = (num, den, n)
         return out

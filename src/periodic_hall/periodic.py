@@ -9,10 +9,14 @@ position:
     u_A u_B = v^twist * sum_{I, M} prod_i H(M_i; I_i[1] + A_i, B_i + I_{i-1}[-1])
                                         / |Aut(I_i)| * u_M
 
-where twist = sum_i < sum_k (-1)^k [A_{i+k}], [B_i] >.  The Hall sum
-arrives from `DerivedContext.connecting_terms` as one integer num per output
-tuple M over one denominator q^e * den for the pair; only the twist is
-computed here.  A basis product is a dict of integer records
+where twist = sum_i < sum_k (-1)^k [A_{i+k}], [B_i] >.  The twist is
+bilinear in the two operands: with l = `Quiver.euler_left` it is
+sum_i l(alt_i(A)) . dims B_i.  Each operand's functionals (the flat vector
+of the l(alt_i(A)) and its flat dims) are computed once per operand, so a
+pair's twist costs one dot product.  The Hall sum arrives from
+`DerivedContext.connecting_terms` as one integer num per output tuple M
+over one denominator q^e * den for the pair; only the twist is computed
+here.  A basis product is a dict of integer records
 {u_M: (num, den, n)}, each standing for num/den * t^n with the unreduced
 exponent n = 4 twist - 8e; it builds no rational and no scalar.  Scalars
 are built only by `Algebra.multiply`, by `Embedding.phi` and by the
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 from . import combo, literal
 from .derived import DerivedContext
@@ -91,16 +96,19 @@ class PeriodicAlgebra(combo.Algebra):
             cached = self._remember_product(key, self._compute_basis_product(a, b))
         return cached
 
-    def _compute_basis_product(self, a: PeriodicObject, b: PeriodicObject) -> dict:
+    def _operand_data(self, x: PeriodicObject) -> tuple:
+        """(left, dims) of x, flat over positions: left holds the functionals
+        l(alt_i(X)) of <alt_i(X), ->, so twist(a, b) = left(a) . dims(b)."""
         m = self.m
-        rep = self.rep
-        dims_a = [cls.dims for cls in a.classes]
-        dims_b = [cls.dims for cls in b.classes]
-
-        twist = 0
+        quiver = self.rep.quiver
+        dims = [cls.dims for cls in x.classes]
+        left = []
         for i in range(m):
-            alt = combo.alternating_sum(dims_a, i, range(m))
-            twist += rep.euler(alt, dims_b[i])
+            left += quiver.euler_left(combo.alternating_sum(dims, i, range(m)))
+        return left, [t for v in dims for t in v]
+
+    def _compute_basis_product(self, a: PeriodicObject, b: PeriodicObject) -> dict:
+        twist = sum(map(mul, self._operand(a)[0], self._operand(b)[1]))
 
         # the Hall sum as integer numerators over q^e * den.  No M is in two
         # groups: dim M_i = dim A_i + dim B_i - dim I_i - dim I_{i-1}, and for

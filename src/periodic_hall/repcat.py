@@ -547,6 +547,8 @@ class RepContext:
 
     def iso_classes_upto(self, bound) -> tuple:
         """All classes with dim vector <= bound, sorted; one cached tuple per bound."""
+        if type(bound) is tuple and (classes := self._upto_cache.get(bound)) is not None:
+            return classes  # a bound seen before needs no validation
         bound = tuple(int(b) for b in bound)
         if len(bound) != self.quiver.n or any(b < 0 for b in bound):
             raise UsageError(f"bad bound {bound}")

@@ -19,6 +19,7 @@ from periodic_hall.repcat import Quiver, RepContext
 from periodic_hall.suites import embedding_sweep, periodic_basis_elements
 
 KRONECKER = "2; 1->2, 1->2"
+TWO_SINK = "3; 1->2, 3->2"
 
 
 def make_embedding(quiver, q, m):
@@ -129,21 +130,50 @@ def test_basis_products_match_per_term_oracles(quiver, q, m, max_degrees, sample
         assert_same_terms(E, E.basis_product(x, y), extended_product_oracle(E, x, y))
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_extended_product_matches_oracle_on_random_k_parts(m):
-    """Random half-lattice K-parts, even period included."""
-    d = DerivedContext(RepContext(Quiver.parse("A2"), 3))
+# one arrow, two parallel arrows, and two arrows into one sink, each with
+# the bound of its classes; an A2 case is named by its period alone
+RANDOM_QUIVERS = [
+    ("", "A2", 3, (1, 1)),
+    ("kronecker-", KRONECKER, 2, (1, 1)),
+    ("two-sink-", TWO_SINK, 2, (1, 1, 1)),
+]
+
+
+def random_cases(periods):
+    return [
+        pytest.param(quiver, q, bound, m, id=f"{label}{m}")
+        for label, quiver, q, bound in RANDOM_QUIVERS
+        for m in periods
+    ]
+
+
+@pytest.mark.parametrize("quiver, q, bound, m", random_cases((1, 2, 3, 4, 5)))
+def test_extended_product_matches_oracle_on_random_k_parts(dctx_factory, quiver, q, bound, m):
+    """Random half-lattice K-parts, even periods included."""
+    d = dctx_factory(quiver, q)
     E = ExtendedAlgebra(d, m)
-    classes = d.rep.iso_classes_upto((1, 1))
+    n = d.rep.quiver.n
+    classes = d.rep.iso_classes_upto(bound)
     rng = random.Random(m)
 
     def element():
-        alphas = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(m)]
+        alphas = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         return E.basis([rng.choice(classes) for _ in range(m)], alphas)
 
     for _ in range(150):
         x, y = element(), element()
         assert_same_terms(E, E.basis_product(x, y), extended_product_oracle(E, x, y))
+
+
+@pytest.mark.parametrize("quiver, q, bound, m", random_cases((1, 3, 5)))
+def test_periodic_product_matches_oracle_on_random_tuples(dctx_factory, quiver, q, bound, m):
+    d = dctx_factory(quiver, q)
+    P = PeriodicAlgebra(d, m)
+    classes = d.rep.iso_classes_upto(bound)
+    rng = random.Random(m)
+    for _ in range(150):
+        a, b = (P.basis([rng.choice(classes) for _ in range(m)]) for _ in range(2))
+        assert_same_terms(P, P.basis_product(a, b), periodic_product_oracle(P, a, b))
 
 
 # A2 pairs whose Hall sum has two connecting tuples of equal dims (1,1) at
@@ -218,6 +248,29 @@ def test_product_caches_are_bounded(monkeypatch):
     assert all(len(cache) <= 4 for cache in caches)
 
 
+def test_operand_and_candidate_tables_grow_with_operands():
+    """After a sweep of 61 basis elements (3,721 pairs), each algebra holds
+    the functionals of at most 61 operands, and the representation context
+    one candidate list per distinct bound (those of the connecting classes
+    and the sweep's own bound)."""
+    emb = make_embedding("A2", 2, 3)
+    elements = periodic_basis_elements(emb.periodic, (1, 1), max_degrees=2)
+    report = embedding_sweep(emb, (1, 1), max_degrees=2)
+    assert (len(elements), report["checked"], report["passed"]) == (61, 3721, True)
+    assert 0 < len(emb.periodic._operands) <= 61
+    assert 0 < len(emb.extended._operands) <= 61
+    bounds = {
+        tuple(map(min, b.classes[i].dims, a.classes[(i + 1) % 3].dims))
+        for a in elements
+        for b in elements
+        for i in range(3)
+    }
+    rep = emb.periodic.derived.rep
+    assert set(rep._upto_cache) == bounds | {(1, 1)}
+    # a cached bound is returned as is; any other spelling of it is normalised
+    assert all(rep.iso_classes_upto(list(bound)) is rep._upto_cache[bound] for bound in bounds)
+
+
 # sha256 of phi(a b), as compact to_json text, over the Kronecker sweep in
 # suite order; pinned before the product path shared its connecting pass.
 KRONECKER_PIN = (361, "1c71345818bf7e30630b2fef20ce192d8d0c69e19c01bd13865101c2306b67a6")
@@ -240,7 +293,7 @@ A2_BOUND_21_PINS = {
 # max_degrees 1; pinned before the phi images lost their scalar
 A3_PINS = {
     "A3": (1369, "5a8183f6eed403506eaa57d2ad8ad8540fc1b1fb8c09ab736ed57da54bac7280"),
-    "3; 1->2, 3->2": (
+    TWO_SINK: (
         1369,
         "42e071d46e908e32078fbdbb29876a0a51b9ee8f12117281da2853867f06e4f4",
     ),

@@ -39,6 +39,11 @@ def test_enumeration_a2(ctx_factory):
     names = {c.name for c in ctx.iso_classes_upto((1, 1))}
     assert names == {"0", "S1", "S2", "S1+S2", "P1"}
     assert len(ctx.iso_classes_upto((0, 0))) == 1
+    # bounds are normalised to ints, and a bad one is refused after others are cached
+    assert ctx.iso_classes_upto([1, 1]) is ctx.iso_classes_upto((1, 1))
+    for bad in [(1,), (1, -1), (1, 1, 1)]:
+        with pytest.raises(UsageError, match="bad bound"):
+            ctx.iso_classes_upto(bad)
 
 
 def test_enumeration_a1(ctx_factory):

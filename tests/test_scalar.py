@@ -251,3 +251,33 @@ def test_hash_agrees_with_equality(q):
     t = f.v_power(1)
     assert t != 1 and hash(t) == hash(f.scalar({1: 1}))
     assert len({t, f.scalar([0, 1]), f.q_power(1), q}) == 2
+
+
+def test_equality_matches_fraction_equality():
+    """Scalar == agrees with Fraction equality of the dense coefficients, on
+    random scalars close enough to meet often, against ints and Fractions
+    too; equal values hash alike, and scalars of two fields never meet."""
+    f, g = ScalarField(3), ScalarField(5)
+    rng = random.Random(7)
+
+    def small():
+        coeffs = {}
+        for _ in range(rng.randint(0, 2)):
+            coeffs[rng.choice((0, 3))] = Fraction(rng.choice((-2, 1, 2, 4)), rng.choice((1, 2)))
+        return f.scalar(coeffs)
+
+    met = 0
+    for _ in range(2000):
+        a, b = small(), small()
+        want = all(x == y for x, y in zip(a.coeffs, b.coeffs))
+        assert (a == b) is want and (b == a) is want
+        met += want
+        if want:
+            assert hash(a) == hash(b)
+        c = rng.choice((0, 1, -1, 2, Fraction(1, 2), Fraction(-2)))
+        want = a.coeffs == (Fraction(c),) + (Fraction(0),) * 7
+        assert (a == c) is want and (c == a) is want
+        if want:
+            assert hash(a) == hash(c)
+        assert a != g.scalar(a.coeffs)
+    assert met > 100
