@@ -11,6 +11,15 @@ turns the parsed pieces of a basis literal into its basis element.  Every
 class in a basis element must be one that the algebra's own `RepContext`
 interned.
 
+Each algebra keeps one object per basis element in `_registry`, which its
+`_intern` fills, keyed by the classes in DH_m and by (classes, alphas) in
+DH^e_m: `basis` after its checks, every output of a basis product and
+every image of phi come from it.  So the lookups of the product caches and
+of the embedding check meet their keys by identity, and an output that
+repeats is not built again.  Only classes of the algebra's own context
+enter a registry.  Unlike the product cache it is not capped: it holds the
+basis elements a run has met, one small record each.
+
 A basis product is a dict of integer records {basis: (num, den, n)}, each
 standing for num/den * t^n with an unreduced t-exponent n.  `multiply`
 turns each record into the scalar `field.term(Fraction(num, den), n)`; the
@@ -155,6 +164,7 @@ class Algebra:
         self.m = m
         self._product_cache: OrderedDict = OrderedDict()
         self._operands: dict = {}  # basis element -> _operand_data
+        self._registry: dict = {}  # key -> the one basis element (`_intern`)
 
     # -- element builders -----------------------------------------------------
 

@@ -339,6 +339,7 @@ class DerivedContext:
         self._res_cache: dict = {}
         self._fiber_cache: dict = {}
         self._hall_table: dict = {}  # (A_i, B_i, I_i, I_{i-1}) -> {M: n}
+        self._candidates: dict = {}  # (B_i, A_{i+1}) -> ((I_i, dims, |Aut I_i|), ...)
         self._connecting_memo = None  # (A, B, connecting_terms(A, B))
 
     # -- graded objects -----------------------------------------------------
@@ -517,10 +518,13 @@ class DerivedContext:
 
         I_i is pruned to dim I_i <= min(B_i, A_{i+1}), as I_i must embed into
         B_i and be a quotient of A_{i+1}; pruned terms vanish (the tests
-        spot-check this against the unpruned factors).  The candidate lists
-        come from `RepContext.iso_classes_upto`, which returns a bound seen
-        before without validating it again, and the table is keyed by the
-        interned classes, which hash by identity.  The last pair's
+        spot-check this against the unpruned factors).  The candidates of
+        each (B_i, A_{i+1}) pair, each with its dims and |Aut I_i|, are one
+        row of a per-context table, built from `RepContext.iso_classes_upto`
+        when the pair is first met.  Both tables are keyed by the interned
+        classes, which hash by identity.  The walk takes the tuples in
+        product order and leaves a tuple at its first empty fiber, so a pair
+        fills the Hall-table keys it reaches and no others.  The last pair's
         result is kept in a one-slot memo: phi keeps module tuples, so the
         extended product of phi(a), phi(b) reuses the pass of the periodic
         product of a, b.  Callers must not mutate the result.
@@ -529,32 +533,38 @@ class DerivedContext:
         if memo is not None and memo[0] == A and memo[1] == B:
             return memo[2]
         m = len(A)
-        rep, table = self.rep, self._hall_table
-        candidates = [
-            rep.iso_classes_upto(tuple(map(min, B[i].dims, A[(i + 1) % m].dims)))
-            for i in range(m)
-        ]
+        rep, table, rows = self.rep, self._hall_table, self._candidates
+        candidates = []
+        for i in range(m):
+            pair = (B[i], A[(i + 1) % m])
+            row = rows.get(pair)
+            if row is None:
+                bound = tuple(map(min, pair[0].dims, pair[1].dims))
+                row = rows[pair] = tuple(
+                    (cls, cls.dims, rep.aut_count(cls)) for cls in rep.iso_classes_upto(bound)
+                )
+            candidates.append(row)
         e = sum(map(rep.hom_dim, A, B))
         found = []  # (dims of I, |Aut I|, fiber counts per position)
         for I in product(*candidates):
+            classes, dims, auts = zip(*I)
             counts = []
             for i in range(m):
-                key = (A[i], B[i], I[i], I[i - 1])
+                key = (A[i], B[i], classes[i], classes[i - 1])
                 fiber = table.get(key)
                 if fiber is None:
-                    fiber = table[key] = self._hall_fibers(A[i], B[i], I[i], I[i - 1])
+                    fiber = table[key] = self._hall_fibers(*key)
                 if not fiber:
                     break
                 counts.append(fiber)
             else:
-                dims = tuple(cls.dims for cls in I)
-                found.append((dims, prod(map(rep.aut_count, I)), counts))
+                found.append((dims, prod(auts), counts))
         den = lcm(*(aut for _, aut, _ in found))
         groups: dict = {}
         for dims, aut, counts in found:
             weight = den // aut
             group = groups.setdefault(dims, {})
-            for choice in product(*(c.items() for c in counts)):
+            for choice in product(*map(dict.items, counts)):
                 modules, ns = zip(*choice)
                 group[modules] = group.get(modules, 0) + prod(ns) * weight
         result = (e, den, groups)

@@ -17,6 +17,10 @@ Each image is a `PhiImage` (units, basis): the exponent as an integer and
 the extended basis element.  phi scales by t^units through
 `Scalar.times_t` and never through a generic product.  The image keeps
 the module tuple, so phi is injective on basis elements by construction.
+The exponent and the K-indices depend on the dimension vectors of the
+module tuple alone, so they are tabulated by those dims; the basis
+element comes from the extended algebra's registry, the one its basis
+products key their terms by.
 
 `verify_homomorphism` checks phi(u_a u_b) = phi(u_a) phi(u_b) on basis
 elements, in integers.  Both basis products are dicts of integer records
@@ -25,7 +29,8 @@ maps to its record times t^units(M) on phi(u_M); the extended basis
 product of the two images carries t^(units(a) + units(b)).  Since t is
 invertible, the two sides agree on a basis element exactly when the record
 (num, den, n + units(M) - units(a) - units(b)) names the same scalar as the
-extended record there (`_same_value`): equal tuples match at once, and
+extended record there (`_same_value`).  The lookup meets the extended key
+by identity, as both come from one registry.  Equal tuples match at once;
 otherwise the exponents must agree mod 8 and the rationals, with the
 q-power of the exponent difference moved to one side, must agree by cross
 multiplication.  The check builds no rational and no scalar unless it
@@ -104,25 +109,36 @@ class Embedding:
         self.rep = periodic.rep
         self.field = periodic.field
         self._phi_cache: dict = {}  # module tuple -> PhiImage
+        self._phi_dims: dict = {}  # dims of a module tuple -> (units, alphas)
 
     # -- the map -----------------------------------------------------------
 
     def phi_basis(self, b: PeriodicObject) -> PhiImage:
-        # by b.classes, not b: keying by b measured slower (dataclass __eq__)
+        # by b.classes, not b: b hashes through a Python-level __hash__, and
+        # with b interned that lookup still measured slower than the tuple's
         image = self._phi_cache.get(b.classes)
         if image is None:
             image = self._phi_cache[b.classes] = self._phi_basis(b)
         return image
 
     def _phi_basis(self, b: PeriodicObject) -> PhiImage:
+        dims = tuple(cls.dims for cls in b.classes)
+        data = self._phi_dims.get(dims)
+        if data is None:
+            data = self._phi_dims[dims] = self._phi_data(dims)
+        units, alphas = data
+        return PhiImage(units, self.extended.basis(b.classes, alphas))
+
+    def _phi_data(self, dims: tuple) -> tuple:
+        """(units, alphas) of the images of module tuples with dimension
+        vectors dims: phi reads a module tuple through its dims alone."""
         m = self.m
-        dims = [cls.dims for cls in b.classes]
         units = phi_exponent_t_units(dims, m, self.rep.euler)
-        alphas = [
+        alphas = tuple(
             tuple(-t for t in alternating_sum(dims, i + 1, range(m)))
             for i in range(m)
-        ]
-        return PhiImage(units, self.extended.basis(b.classes, alphas))
+        )
+        return units, alphas
 
     def phi(self, element: Element) -> Element:
         terms: dict = {}

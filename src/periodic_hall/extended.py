@@ -15,7 +15,9 @@ as integers num over q^e * den, grouped by the dims of the connecting
 tuple I, all the twist reads of I; q^-e = t^(-8e) joins the t-exponent.
 A basis product is a dict of integer records {basis: (num, den, n)}, each
 standing for num/den * t^n with the unreduced exponent n = a0 + inner - 8e
-of its group; it builds no rational and no scalar.
+of its group; it builds no rational and no scalar, and its keys come from
+the algebra's registry (`combo`), keyed by (classes, alphas), where phi's
+images come from too.
 
 a0 is bilinear in the two operands.  With l = `Quiver.euler_left`, r =
 `euler_right` and S(k) = l(k) + r(k), so that the symmetric pairing
@@ -110,7 +112,15 @@ class ExtendedAlgebra(combo.Algebra):
                 len(a) != self.rep.quiver.n for a in alphas
             ):
                 raise UsageError("alphas must be m doubled vectors of vertex length")
-        return ExtendedBasisElement(classes, alphas)
+        return self._intern(classes, alphas)
+
+    def _intern(self, classes: tuple, alphas: tuple) -> ExtendedBasisElement:
+        """The algebra's one basis element for checked classes and K-indices."""
+        key = (classes, alphas)
+        basis = self._registry.get(key)
+        if basis is None:
+            basis = self._registry[key] = ExtendedBasisElement(classes, alphas)
+        return basis
 
     def k_monomial(self, alphas) -> ExtendedBasisElement:
         return self.basis([self.rep.zero_class] * self.m, alphas)
@@ -204,7 +214,7 @@ class ExtendedAlgebra(combo.Algebra):
         ab = [s + t for alpha, beta in zip(x.alphas, y.alphas) for s, t in zip(alpha, beta)]
         width = self.rep.quiver.n
 
-        table = self._tuple_table
+        table, intern = self._tuple_table, self._intern
         e, den, groups = self.derived.connecting_terms(x.classes, y.classes)
         out: dict = {}
         # distinct groups have distinct K-indices 2 dim I + alpha + beta, so
@@ -219,7 +229,7 @@ class ExtendedAlgebra(combo.Algebra):
             flat = list(map(add, dbl, ab))
             gammas = tuple(tuple(flat[k : k + width]) for k in range(0, len(flat), width))
             for modules, num in terms.items():
-                out[ExtendedBasisElement(modules, gammas)] = (num, den, n)
+                out[intern(modules, gammas)] = (num, den, n)
         return out
 
     # -- parsing ------------------------------------------------------------------

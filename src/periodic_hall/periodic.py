@@ -18,7 +18,8 @@ pair's twist costs one dot product.  The Hall sum arrives from
 over one denominator q^e * den for the pair; only the twist is computed
 here.  A basis product is a dict of integer records
 {u_M: (num, den, n)}, each standing for num/den * t^n with the unreduced
-exponent n = 4 twist - 8e; it builds no rational and no scalar.  Scalars
+exponent n = 4 twist - 8e; it builds no rational and no scalar, and its
+keys come from the algebra's registry (`combo`).  Scalars
 are built only by `Algebra.multiply`, by `Embedding.phi` and by the
 failure report of the embedding check.
 
@@ -84,8 +85,14 @@ class PeriodicAlgebra(combo.Algebra):
     # -- element builders -----------------------------------------------------
 
     def basis(self, classes) -> PeriodicObject:
-        classes = self._check_classes(classes)
-        return PeriodicObject(classes)
+        return self._intern(self._check_classes(classes))
+
+    def _intern(self, classes: tuple) -> PeriodicObject:
+        """The algebra's one basis element for a checked tuple of classes."""
+        basis = self._registry.get(classes)
+        if basis is None:
+            basis = self._registry[classes] = PeriodicObject(classes)
+        return basis
 
     # -- multiplication ---------------------------------------------------------
 
@@ -116,8 +123,9 @@ class PeriodicAlgebra(combo.Algebra):
         e, den, groups = self.derived.connecting_terms(a.classes, b.classes)
         # v^twist * q^-e = t^(4 twist - 8 e): one record per output tuple
         n = 4 * twist - 8 * e
+        intern = self._intern
         return {
-            PeriodicObject(modules): (num, den, n)
+            intern(modules): (num, den, n)
             for terms in groups.values()
             for modules, num in terms.items()
         }

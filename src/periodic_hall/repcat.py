@@ -348,8 +348,8 @@ class RepContext:
         self._indecs: list = []
         self._indec_by_name: dict = {}
         self._rep_cache: dict = {}
-        self._hom_cache: dict = {}
-        self._aut_cache: dict = {}
+        self._hom_cache: dict = {}  # (M, N) -> dim Hom(M, N)
+        self._aut_cache: dict = {}  # M -> |Aut M|
         self._upto_cache: dict = {}  # bound -> sorted tuple of classes
         self.zero_class = self._intern(())
 
@@ -665,7 +665,7 @@ class RepContext:
         return layout, _morphism_constraints(self, layout, {0: (repM, repN)})
 
     def hom_dim(self, M: IsoClass, N: IsoClass) -> int:
-        key = (M.key, N.key)
+        key = (M, N)
         h = self._hom_cache.get(key)
         if h is None:
             layout, rows = self._hom_system(self.representative(M), self.representative(N))
@@ -717,7 +717,7 @@ class RepContext:
         with End X_i / rad = F_{q^{d_i}} (Schiffmann, arXiv:math/0611617),
         |Aut M| = q^{dim End M - sum_i d_i m_i (m_i + 1) / 2}
                   * prod_i prod_{k=1..m_i} (q^{d_i k} - 1)."""
-        count = self._aut_cache.get(M.key)
+        count = self._aut_cache.get(M)
         if count is not None:
             return count
         if sum(mult for _, mult in M.key) <= 1:
@@ -735,7 +735,7 @@ class RepContext:
             count = q ** (e - sum(d * m * (m + 1) // 2 for d, m in degrees)) * prod(
                 q ** (d * k) - 1 for d, m in degrees for k in range(1, m + 1)
             )
-        self._aut_cache[M.key] = count
+        self._aut_cache[M] = count
         return count
 
     def _enumerated_aut_count(self, M: IsoClass) -> int:

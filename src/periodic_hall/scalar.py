@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvariantError, ParseError, UsageError
+from .errors import InvariantError, UsageError
 from .literal import parse_scalar  # noqa: F401 (public name of this module too)
 
 _DEG = 8  # t^8 = q
@@ -110,15 +110,6 @@ class ScalarField:
                     raise UsageError(f"coefficient degree {j} out of range")
                 data[j] = c
         return Scalar(self, data)
-
-    def from_strings(self, strings) -> "Scalar":
-        """Inverse of Scalar.to_strings: 8 entries 'num/den' or 'num'."""
-        if len(strings) != _DEG:
-            raise ParseError(f"expected 8 coefficient strings, got {len(strings)}")
-        try:
-            return self.scalar([Fraction(s) for s in strings])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad coefficient string: {exc}") from exc
 
 
 class Scalar:
@@ -266,11 +257,6 @@ class Scalar:
     def coeffs(self) -> tuple:
         """Dense tuple (c0, ..., c7) of Fractions."""
         return tuple(self._c.get(j, Fraction(0)) for j in range(_DEG))
-
-    def eval_real(self) -> float:
-        """Numeric value at the positive root t = q^(1/8); diagnostics only."""
-        t = self.field.q ** (1.0 / _DEG)
-        return sum(float(c) * t**j for j, c in self._c.items())
 
     def to_strings(self) -> list:
         """8 exact 'num/den' strings, lowest terms, positive denominators."""

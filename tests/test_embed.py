@@ -1,5 +1,7 @@
 """The basis-wise embedding of the periodic algebra into the extended one."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -73,15 +75,20 @@ def test_classes_of_another_context_rejected(a2_q2, dctx_factory):
     P = PeriodicAlgebra(a2_q2, 1)
     E = ExtendedAlgebra(a2_q2, 1)
     foreign = PeriodicAlgebra(other, 1)
+    emb = Embedding(P, E)
     cases = [
         lambda: P.basis([S1]),
         lambda: P.basis([other.rep.zero_class]),
         lambda: E.basis([S2]),
         lambda: P.element({foreign.basis([S1]): P.field.one}),
+        lambda: emb.phi_basis(foreign.basis([S2])),
     ]
     for case in cases:
         with pytest.raises(UsageError, match="another context"):
             case()
+    # a refused class enters neither registry
+    assert not P._registry and not E._registry
+    assert P.basis([a2_q2.rep.class_by_name("S1")]) is not foreign.basis([S1])
     # the product that used to read the classes by their A2 names
     a, b = foreign.monomial(foreign.basis([S1])), foreign.monomial(foreign.basis([S2]))
     assert str(foreign.multiply(a, b)) == "[S1+S2@0]"
@@ -286,6 +293,42 @@ def test_wrong_phi_is_caught(a2_q2, monkeypatch, wrong):
         assert len(diff[side]) == 8
         assert all(isinstance(x, str) for x in diff[side])
     assert diff["lhs"] != diff["rhs"]
+
+
+# (pairs, failing pairs, sha256 of the failing reports) with the K-index of
+# every connecting tuple off by one at its first entry, keyed by (q, m,
+# max_degrees) of an A2 sweep at bound (1,1); pinned before the algebras
+# kept one object per basis element
+OFF_BY_ONE_K_PINS = {
+    (2, 3, 1): (169, 169, "3e7c3c5885a004e31597419cb72e3906568d6fcdf0404dfa34fdc0d03ce0f15e"),
+    (3, 1, 2): (25, 25, "e1430f587dad8ba47b791381b09f9a43fd9f360f787f75eb479e60797b847f04"),
+}
+
+
+@pytest.mark.parametrize("q, m, max_degrees", sorted(OFF_BY_ONE_K_PINS))
+def test_off_by_one_k_index_fails_as_pinned(dctx_factory, monkeypatch, q, m, max_degrees):
+    """A wrong K-index in the extended product builds basis elements no phi
+    image has: every pair fails, with the pinned first_diff reports."""
+    original = ExtendedAlgebra._tuple_data
+
+    def off_by_one(self, dims):
+        dbl, inner = original(self, dims)
+        return [dbl[0] + 1] + dbl[1:], inner
+
+    monkeypatch.setattr(ExtendedAlgebra, "_tuple_data", off_by_one)
+    emb = make_embedding(dctx_factory("A2", q), m)
+    elements = periodic_basis_elements(emb.periodic, (1, 1), max_degrees=max_degrees)
+    h = hashlib.sha256()
+    failed = 0
+    for a in elements:
+        for b in elements:
+            report = emb.verify_homomorphism(a, b)
+            if not report["equal"]:
+                failed += 1
+                h.update(json.dumps(report, sort_keys=True).encode())
+                h.update(b"\n")
+    got = (len(elements) ** 2, failed, h.hexdigest())
+    assert got == OFF_BY_ONE_K_PINS[q, m, max_degrees]
 
 
 def test_basis_check_matches_element_oracle(a2_q2):

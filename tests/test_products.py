@@ -252,7 +252,10 @@ def test_operand_and_candidate_tables_grow_with_operands():
     """After a sweep of 61 basis elements (3,721 pairs), each algebra holds
     the functionals of at most 61 operands, and the representation context
     one candidate list per distinct bound (those of the connecting classes
-    and the sweep's own bound)."""
+    and the sweep's own bound).  The derived context holds one candidate
+    row per (B_i, A_{i+1}) pair met, phi one entry per dims tuple it met,
+    and the two registries exactly the module tuples phi met and their
+    images."""
     emb = make_embedding("A2", 2, 3)
     elements = periodic_basis_elements(emb.periodic, (1, 1), max_degrees=2)
     report = embedding_sweep(emb, (1, 1), max_degrees=2)
@@ -269,6 +272,81 @@ def test_operand_and_candidate_tables_grow_with_operands():
     assert set(rep._upto_cache) == bounds | {(1, 1)}
     # a cached bound is returned as is; any other spelling of it is normalised
     assert all(rep.iso_classes_upto(list(bound)) is rep._upto_cache[bound] for bound in bounds)
+
+    rows = emb.periodic.derived._candidates
+    assert set(rows) == {
+        (b.classes[i], a.classes[(i + 1) % 3]) for a in elements for b in elements for i in range(3)
+    }
+    for (b_cls, a_next), row in rows.items():
+        bound = tuple(map(min, b_cls.dims, a_next.dims))
+        assert row == tuple((c, c.dims, rep.aut_count(c)) for c in rep._upto_cache[bound])
+    phi_keys = set(emb._phi_cache)
+    assert set(emb._phi_dims) == {tuple(c.dims for c in classes) for classes in phi_keys}
+    assert set(emb.periodic._registry) == phi_keys
+    assert {key[0] for key in emb.extended._registry} == phi_keys
+    assert len(emb.extended._registry) == len(phi_keys)
+
+
+# the Hall-table fills of the products benchmark sweep (A2, bound (1,1),
+# max_degrees 2, m = 1 then m = 3 on one derived context per q): keys filled
+# and keys with an empty fiber, pinned before the walk read tabulated candidates
+PRODUCTS_FILLS = {2: (225, 81), 3: (225, 81)}
+
+
+@pytest.fixture(scope="module")
+def products_sweeps():
+    """{q: (derived context, {m: embedding})} after the products sweep."""
+    out = {}
+    for q in sorted(PRODUCTS_FILLS):
+        d = DerivedContext(RepContext(Quiver.parse("A2"), q))
+        embs = {}
+        for m in (1, 3):
+            embs[m] = Embedding(PeriodicAlgebra(d, m), ExtendedAlgebra(d, m))
+            assert embedding_sweep(embs[m], (1, 1), max_degrees=2)["passed"]
+        out[q] = (d, embs)
+    return out
+
+
+@pytest.mark.parametrize("q", sorted(PRODUCTS_FILLS))
+def test_products_sweep_fills_pinned(products_sweeps, q):
+    d, _ = products_sweeps[q]
+    table = d._hall_table
+    assert (len(table), sum(1 for fiber in table.values() if not fiber)) == PRODUCTS_FILLS[q]
+
+
+@pytest.mark.parametrize("q", sorted(PRODUCTS_FILLS))
+@pytest.mark.parametrize("m", [1, 3])
+def test_extended_product_keys_are_phi_images(products_sweeps, q, m):
+    """Every key of the extended product of two phi images is the very
+    object phi gives the matching periodic output, and each algebra's basis
+    returns its registered element."""
+    emb = products_sweeps[q][1][m]
+    P, E = emb.periodic, emb.extended
+    elements = periodic_basis_elements(P, (1, 1), max_degrees=2)
+    for a in elements:
+        assert P.basis(list(a.classes)) is a
+        image_a = emb.phi_basis(a)
+        assert E.basis(a.classes, [list(x) for x in image_a.basis.alphas]) is image_a.basis
+        for b in elements:
+            rhs = E.basis_product(image_a.basis, emb.phi_basis(b).basis)
+            images = {id(emb.phi_basis(M).basis) for M in P.basis_product(a, b)}
+            assert {id(key) for key in rhs} == images
+
+
+def test_basis_is_one_object_per_key(a2_q2):
+    """Equal inputs, however spelled, give the identical basis element."""
+    S1, Z = a2_q2.rep.class_by_name("S1"), a2_q2.rep.zero_class
+    P, E = PeriodicAlgebra(a2_q2, 3), ExtendedAlgebra(a2_q2, 3)
+    assert P.basis([S1, Z, Z]) is P.basis((S1, Z, Z)) is P.parse_basis("[S1@0]")
+    assert P.unit_basis is P.basis([Z, Z, Z])
+    alphas = ((1, 0), (0, 0), (0, -2))
+    x = E.basis([S1, Z, Z], alphas)
+    assert x is E.basis((S1, Z, Z), [list(a) for a in alphas])
+    assert x is E.parse_basis("[S1@0]*K[(1,0)/2@0, (0,-1)@2]") is E.parse_basis(str(x))
+    assert E.basis([S1, Z, Z]) is E.basis([S1, Z, Z], [(0, 0)] * 3)
+    assert E.k_monomial(alphas) is E.basis([Z, Z, Z], alphas)
+    # another algebra over the same context keeps its own registry
+    assert PeriodicAlgebra(a2_q2, 3).basis([S1, Z, Z]) is not P.basis([S1, Z, Z])
 
 
 # sha256 of phi(a b), as compact to_json text, over the Kronecker sweep in
