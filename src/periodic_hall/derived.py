@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import lcm, prod
-from operator import mul
+from operator import mul, sub
 
 import numpy as np
 
@@ -512,53 +512,51 @@ class DerivedContext:
         |Aut(I_i)|.  Each algebra applies only its own twist, which reads I
         through its dims alone.  For odd m the dims of M fix those of I
         (dim M_i = dim A_i + dim B_i - dim I_i - dim I_{i-1}, and I ->
-        (I_i + I_{i-1})_i is invertible), so each M lies in one group.  The
-        module fiber counts of each position key (A_i, B_i, I_i, I_{i-1})
-        are tabulated once per context, an empty fiber as {}.
+        (I_i + I_{i-1})_i is invertible), so each M lies in one group.
 
-        I_i is pruned to dim I_i <= min(B_i, A_{i+1}), as I_i must embed into
-        B_i and be a quotient of A_{i+1}; pruned terms vanish (the tests
-        spot-check this against the unpruned factors).  The candidates of
-        each (B_i, A_{i+1}) pair, each with its dims and |Aut I_i|, are one
-        row of a per-context table, built from `RepContext.iso_classes_upto`
-        when the pair is first met.  Both tables are keyed by the interned
-        classes, which hash by identity.  The walk takes the tuples in
-        product order and leaves a tuple at its first empty fiber, so a pair
-        fills the Hall-table keys it reaches and no others.  The last pair's
-        result is kept in a one-slot memo: phi keeps module tuples, so the
-        extended product of phi(a), phi(b) reuses the pass of the periodic
-        product of a, b.  Callers must not mutate the result.
+        The fiber at position i is nonempty exactly when I_i embeds in B_i
+        and I_{i-1} is a quotient of A_i, so the candidates for I_i are the
+        classes in Sub(B_i) and in Quot(A_{i+1}), read from
+        `RepContext.submodule_table`; the zero class is always one and needs
+        no table.  Each (B_i, A_{i+1}) pair's candidates, each with its dims
+        and |Aut I_i|, are one row of a per-context table, built when the
+        pair is first met, in the order of `RepContext.iso_classes_upto`.
+        Every tuple walked then has nonempty fibers, and an empty one raises
+        InvariantError.  The module fiber counts of each position key (A_i,
+        B_i, I_i, I_{i-1}) are tabulated once per context.  Both tables are
+        keyed by the interned classes, which hash by identity.  The last
+        pair's result is kept in a one-slot memo: phi keeps module tuples,
+        so the extended product of phi(a), phi(b) reuses the pass of the
+        periodic product of a, b.  Callers must not mutate the result.
         """
         memo = self._connecting_memo
         if memo is not None and memo[0] == A and memo[1] == B:
             return memo[2]
-        m = len(A)
         rep, table, rows = self.rep, self._hall_table, self._candidates
         candidates = []
-        for i in range(m):
-            pair = (B[i], A[(i + 1) % m])
+        for pair in zip(B, A[1:] + A[:1]):
             row = rows.get(pair)
             if row is None:
-                bound = tuple(map(min, pair[0].dims, pair[1].dims))
-                row = rows[pair] = tuple(
-                    (cls, cls.dims, rep.aut_count(cls)) for cls in rep.iso_classes_upto(bound)
-                )
+                row = rows[pair] = self._candidate_row(*pair)
             candidates.append(row)
         e = sum(map(rep.hom_dim, A, B))
         found = []  # (dims of I, |Aut I|, fiber counts per position)
         for I in product(*candidates):
             classes, dims, auts = zip(*I)
             counts = []
-            for i in range(m):
-                key = (A[i], B[i], classes[i], classes[i - 1])
+            for key in zip(A, B, classes, classes[-1:] + classes[:-1]):
                 fiber = table.get(key)
                 if fiber is None:
-                    fiber = table[key] = self._hall_fibers(*key)
-                if not fiber:
-                    break
+                    fiber = self._hall_fibers(*key)
+                    if not fiber:
+                        a, b, i_cls, i_prev = key
+                        raise InvariantError(
+                            f"empty Hall fiber at ({a.name}, {b.name}, {i_cls.name}, "
+                            f"{i_prev.name}): a candidate is not a submodule or quotient"
+                        )
+                    table[key] = fiber
                 counts.append(fiber)
-            else:
-                found.append((dims, prod(auts), counts))
+            found.append((dims, prod(auts), counts))
         den = lcm(*(aut for _, aut, _ in found))
         groups: dict = {}
         for dims, aut, counts in found:
@@ -570,6 +568,22 @@ class DerivedContext:
         result = (e, den, groups)
         self._connecting_memo = (A, B, result)
         return result
+
+    def _candidate_row(self, b: IsoClass, a_next: IsoClass) -> tuple:
+        """(I, dims, |Aut I|) for the classes I in Sub(b) and Quot(a_next)."""
+        rep = self.rep
+        return tuple(
+            (cls, cls.dims, rep.aut_count(cls))
+            for cls in rep.iso_classes_upto(tuple(map(min, b.dims, a_next.dims)))
+            if cls.is_zero
+            or (
+                any(U is cls for U, _ in rep.submodule_table(b, cls.dims))
+                and any(
+                    Q is cls
+                    for _, Q in rep.submodule_table(a_next, tuple(map(sub, a_next.dims, cls.dims)))
+                )
+            )
+        )
 
     def _hall_fibers(self, a, b, i_cls, i_prev) -> dict:
         """{M: |fiber|} with H(M; I[1] + A, B + I'[-1]) = |fiber| * q^-hom(A, B),

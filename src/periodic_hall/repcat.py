@@ -351,6 +351,7 @@ class RepContext:
         self._hom_cache: dict = {}  # (M, N) -> dim Hom(M, N)
         self._aut_cache: dict = {}  # M -> |Aut M|
         self._upto_cache: dict = {}  # bound -> sorted tuple of classes
+        self._sub_tables: dict = {}  # (L, dims) -> {(U, L/U): count}
         self.zero_class = self._intern(())
 
     # -- class registry ---------------------------------------------------
@@ -744,34 +745,52 @@ class RepContext:
         basis = self.hom_basis(rep, rep)
         return sum(1 for _ in self._invertible_maps(basis, rep.dims, "End"))
 
-    # -- submodule Hall numbers (abelian-category oracle) -----------------------
+    # -- submodules and submodule Hall numbers ----------------------------------
 
     def submodule_hall_number(self, L: IsoClass, M: IsoClass, N: IsoClass) -> int:
-        """Number of subrepresentations U of L with U = N and L/U = M."""
+        """Number of subrepresentations U of L with U = N and L/U = M: one
+        entry of `submodule_table(L, dim N)`."""
+        for cls, where in ((L, "as L"), (M, "as M"), (N, "as N")):
+            self._check_class(cls, where)
         if tuple(m + n for m, n in zip(M.dims, N.dims)) != L.dims:
             return 0
+        return self.submodule_table(L, N.dims).get((N, M), 0)
+
+    def submodule_table(self, L: IsoClass, dims) -> dict:
+        """{(U, L/U): n}, n the number of subrepresentations of L with
+        dimension vector dims in the class U with quotient class L/U.
+
+        Brute force over the subspace tuples with those dims, under the
+        max_brute_force cap; cached per (L, dims), so callers must not
+        mutate it."""
+        self._check_class(L, "as L")
+        dims = tuple(int(d) for d in dims)
+        table = self._sub_tables.get((L, dims))
+        if table is not None:
+            return table
+        if len(dims) != self.quiver.n or any(d < 0 for d in dims):
+            raise UsageError(f"bad submodule dimension vector {dims}")
         repL = self.representative(L)
         q = self.q
         per_vertex = []
         total = 1
         for v in range(self.quiver.n):
-            subs = list(linalg.subspaces(repL.dims[v], N.dims[v], q))
+            subs = list(linalg.subspaces(repL.dims[v], dims[v], q))
             total *= len(subs)
             per_vertex.append(subs)
         if total > self.max_brute_force:
             raise ResourceLimitError(
                 f"{total} subspace tuples to scan (cap {self.max_brute_force})"
             )
-        count = 0
+        table = {}
         for rows in product(*per_vertex):
             sub = self._subrep(repL, rows)
             if sub is None:
                 continue
-            if self.classify_rep(sub) != N:
-                continue
-            if self.classify_rep(self._quotient_rep(repL, rows)) == M:
-                count += 1
-        return count
+            key = (self.classify_rep(sub), self.classify_rep(self._quotient_rep(repL, rows)))
+            table[key] = table.get(key, 0) + 1
+        self._sub_tables[(L, dims)] = table
+        return table
 
     def _subrep(self, repL: Rep, rows):
         """Restriction to span(rows) per vertex, or None if not arrow-closed."""

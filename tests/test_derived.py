@@ -4,6 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -285,9 +286,8 @@ def untabulated_hall_factors(d, A, B, I):
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("m", [1, 3])
 def test_hall_factor_table_matches_fresh_context(q, m, monkeypatch):
-    """Every position key that connecting_terms reaches, empty fibers
-    included, fills the table exactly once, with the module fiber counts of
-    a fresh context."""
+    """Every position key that connecting_terms reaches fills the table
+    exactly once, with the nonempty module fiber counts of a fresh context."""
     d = DerivedContext(RepContext(Quiver.parse("A2"), q))
     fresh = DerivedContext(d.rep)
     classes = d.rep.iso_classes_upto((1, 1))
@@ -312,7 +312,7 @@ def test_hall_factor_table_matches_fresh_context(q, m, monkeypatch):
         X = fresh.graded({1: i_cls, 0: a})
         Y = fresh.graded({0: b, -1: i_prev})
         assert fiber == fresh.module_fiber_counts(X, Y)
-    assert any(not fiber for _, fiber in fills)
+    assert fills and all(fiber for _, fiber in fills)
     filled = len(fills)
     for A, B in pairs:
         d._connecting_memo = None
@@ -366,6 +366,74 @@ def test_connecting_terms_match_rational_factors(m):
         seen_den.add(den)
     # |Aut(S)| = q - 1 = 2 at q = 3: some den is a product over positions
     assert max(seen_den) >= 2**m
+
+
+def min_dims_connecting_terms(d, A, B):
+    """connecting_terms by the walk over every class I_i up to min(dim B_i,
+    dim A_{i+1}), each tuple left at its first empty fiber, with no tables."""
+    m, rep = len(A), d.rep
+    candidates = [
+        rep.iso_classes_upto(tuple(map(min, B[i].dims, A[(i + 1) % m].dims)))
+        for i in range(m)
+    ]
+    found = []
+    for I in product(*candidates):
+        counts = []
+        for i in range(m):
+            fiber = d._hall_fibers(A[i], B[i], I[i], I[i - 1])
+            if not fiber:
+                break
+            counts.append(fiber)
+        else:
+            found.append((tuple(c.dims for c in I), prod(map(rep.aut_count, I)), counts))
+    den = lcm(*(aut for _, aut, _ in found))
+    groups = {}
+    for dims, aut, counts in found:
+        group = groups.setdefault(dims, {})
+        for choice in product(*map(dict.items, counts)):
+            modules, ns = zip(*choice)
+            group[modules] = group.get(modules, 0) + prod(ns) * (den // aut)
+    return sum(map(rep.hom_dim, A, B)), den, groups
+
+
+@pytest.mark.parametrize(
+    "quiver, bound, pairs",
+    [("A2", (1, 1), 20), ("2; 1->2, 1->2", (1, 1), 12), ("3; 1->2, 3->2", (1, 1, 1), 10)],
+)
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_sub_quot_candidates_match_min_dims_walk(quiver, bound, pairs, m):
+    """The walk over Sub(B_i) and Quot(A_{i+1}) gives the (e, den, groups)
+    of the walk over every class up to min(dim B_i, dim A_{i+1})."""
+    d = DerivedContext(RepContext(Quiver.parse(quiver), 2))
+    oracle = DerivedContext(d.rep)
+    classes = d.rep.iso_classes_upto(bound)
+    rng = random.Random(m)
+    for _ in range(pairs):
+        A = tuple(rng.choice(classes) for _ in range(m))
+        B = tuple(rng.choice(classes) for _ in range(m))
+        assert d.connecting_terms(A, B) == min_dims_connecting_terms(oracle, A, B)
+    # some row is narrower than its min-dims list, so the two walks differ
+    assert any(
+        len(row) < len(d.rep.iso_classes_upto(tuple(map(min, b.dims, a_next.dims))))
+        for (b, a_next), row in d._candidates.items()
+    )
+
+
+def test_candidate_outside_sub_raises(monkeypatch):
+    """S1 is a quotient of P1 but not a submodule of it: a candidate row
+    that holds it anyway meets an empty fiber and raises."""
+    d = DerivedContext(RepContext(Quiver.parse("A2"), 2))
+    P1, S1 = d.rep.class_by_name("P1"), d.rep.class_by_name("S1")
+    assert [c.name for c, _, _ in d._candidate_row(P1, P1)] == ["0", "P1"]
+    original = d._candidate_row
+
+    def with_s1(b, a_next):
+        return original(b, a_next) + ((S1, S1.dims, d.rep.aut_count(S1)),)
+
+    monkeypatch.setattr(d, "_candidate_row", with_s1)
+    with pytest.raises(InvariantError, match=r"empty Hall fiber at \(P1, P1, S1, S1\)"):
+        d.connecting_terms((P1,), (P1,))
+    assert all(d._hall_table.values())
 
 
 def snapshot(connecting):

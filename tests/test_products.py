@@ -253,7 +253,8 @@ def test_operand_and_candidate_tables_grow_with_operands():
     the functionals of at most 61 operands, and the representation context
     one candidate list per distinct bound (those of the connecting classes
     and the sweep's own bound).  The derived context holds one candidate
-    row per (B_i, A_{i+1}) pair met, phi one entry per dims tuple it met,
+    row per (B_i, A_{i+1}) pair met, the classes of Sub(B_i) and
+    Quot(A_{i+1}) in the bound's order, phi one entry per dims tuple it met,
     and the two registries exactly the module tuples phi met and their
     images."""
     emb = make_embedding("A2", 2, 3)
@@ -277,9 +278,22 @@ def test_operand_and_candidate_tables_grow_with_operands():
     assert set(rows) == {
         (b.classes[i], a.classes[(i + 1) % 3]) for a in elements for b in elements for i in range(3)
     }
+
+    def is_sub(c, L):
+        rest = tuple(x - y for x, y in zip(L.dims, c.dims))
+        return any(rep.submodule_hall_number(L, M, c) for M in rep.iso_classes_with_dims(rest))
+
+    def is_quot(c, L):
+        rest = tuple(x - y for x, y in zip(L.dims, c.dims))
+        return any(rep.submodule_hall_number(L, c, N) for N in rep.iso_classes_with_dims(rest))
+
     for (b_cls, a_next), row in rows.items():
         bound = tuple(map(min, b_cls.dims, a_next.dims))
-        assert row == tuple((c, c.dims, rep.aut_count(c)) for c in rep._upto_cache[bound])
+        assert row == tuple(
+            (c, c.dims, rep.aut_count(c))
+            for c in rep._upto_cache[bound]
+            if is_sub(c, b_cls) and is_quot(c, a_next)
+        )
     phi_keys = set(emb._phi_cache)
     assert set(emb._phi_dims) == {tuple(c.dims for c in classes) for classes in phi_keys}
     assert set(emb.periodic._registry) == phi_keys
@@ -289,8 +303,24 @@ def test_operand_and_candidate_tables_grow_with_operands():
 
 # the Hall-table fills of the products benchmark sweep (A2, bound (1,1),
 # max_degrees 2, m = 1 then m = 3 on one derived context per q): keys filled
-# and keys with an empty fiber, pinned before the walk read tabulated candidates
-PRODUCTS_FILLS = {2: (225, 81), 3: (225, 81)}
+# and keys with an empty fiber, and the sha256 of the filled entries (see
+# fills_digest), pinned from the nonempty entries of the walk over every
+# class up to min(dim B_i, dim A_{i+1}), which filled 225 keys, 81 of them empty
+PRODUCTS_FILLS = {
+    2: (144, 0, "8ab5ed1ea46bf993fd498aef55bfb8ac6d15ad95a0441475cb0fd4272b938728"),
+    3: (144, 0, "4e680a043e0d703d0c019efbbae03ff3ba90da2b84fc1ae2feadcfcac9804966"),
+}
+
+
+def fills_digest(table) -> str:
+    """sha256 of the Hall-table entries with every class by name, sorted."""
+    text = repr(
+        sorted(
+            (tuple(c.name for c in key), sorted((M.name, n) for M, n in fiber.items()))
+            for key, fiber in table.items()
+        )
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -311,7 +341,8 @@ def products_sweeps():
 def test_products_sweep_fills_pinned(products_sweeps, q):
     d, _ = products_sweeps[q]
     table = d._hall_table
-    assert (len(table), sum(1 for fiber in table.values() if not fiber)) == PRODUCTS_FILLS[q]
+    empty = sum(1 for fiber in table.values() if not fiber)
+    assert (len(table), empty, fills_digest(table)) == PRODUCTS_FILLS[q]
 
 
 @pytest.mark.parametrize("q", sorted(PRODUCTS_FILLS))

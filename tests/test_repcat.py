@@ -166,6 +166,79 @@ def test_submodule_partition_counts_each_submodule_once(ctx_factory):
             assert total == direct, (L.name, k)
 
 
+def oracle_submodule_hall_number(ctx, L, M, N):
+    """g^L_{M,N} by its own scan of the subspace tuples with dims N."""
+    if tuple(m + n for m, n in zip(M.dims, N.dims)) != L.dims:
+        return 0
+    repL = ctx.representative(L)
+    count = 0
+    for rows in product(
+        *(linalg.subspaces(repL.dims[v], N.dims[v], ctx.q) for v in range(ctx.quiver.n))
+    ):
+        sub = ctx._subrep(repL, rows)
+        if sub is None or ctx.classify_rep(sub) is not N:
+            continue
+        count += ctx.classify_rep(ctx._quotient_rep(repL, rows)) is M
+    return count
+
+
+@pytest.mark.parametrize(
+    "quiver, bound",
+    [("A2", (2, 1)), ("A3", (1, 1, 1)), ("2; 1->2, 1->2", (1, 1))],
+)
+@pytest.mark.parametrize("q", [2, 3])
+def test_submodule_table_matches_per_triple_scan(quiver, bound, q):
+    """Each table (L, d) holds exactly the pairs (N, M) with dims d and
+    L - d that the per-triple scan counts as nonzero, with its counts, and
+    submodule_hall_number reads the same number for every triple."""
+    ctx = RepContext(Quiver.parse(quiver), q)
+    classes = ctx.iso_classes_upto(bound)
+    for L in classes:
+        for d in product(*(range(x + 1) for x in L.dims)):
+            want = {}
+            for N in ctx.iso_classes_with_dims(d):
+                for M in ctx.iso_classes_with_dims(tuple(x - y for x, y in zip(L.dims, d))):
+                    g = oracle_submodule_hall_number(ctx, L, M, N)
+                    assert ctx.submodule_hall_number(L, M, N) == g
+                    if g:
+                        want[(N, M)] = g
+            assert ctx.submodule_table(L, d) == want, (L.name, d)
+            assert ctx.submodule_table(L, list(d)) is ctx.submodule_table(L, d)
+
+
+def test_submodule_table_refuses_bad_input():
+    a, b = (RepContext(Quiver.parse("A2"), 2) for _ in range(2))
+    P1, S1, S2 = (a.class_by_name(name) for name in ("P1", "S1", "S2"))
+    foreign = {name: b.class_by_name(name) for name in ("P1", "S1", "S2")}
+    for args, where in (
+        ((foreign["P1"], S1, S2), "as L"),
+        ((P1, foreign["S1"], S2), "as M"),
+        ((P1, S1, foreign["S2"]), "as N"),
+    ):
+        with pytest.raises(UsageError, match=f"{where} belongs to another context"):
+            a.submodule_hall_number(*args)
+    with pytest.raises(UsageError, match="as L belongs to another context"):
+        a.submodule_table(foreign["P1"], (0, 1))
+    with pytest.raises(UsageError, match="expected an IsoClass"):
+        a.submodule_hall_number("P1", S1, S2)
+    for dims in ((0,), (1, -1)):
+        with pytest.raises(UsageError, match="bad submodule dimension vector"):
+            a.submodule_table(P1, dims)
+    assert a.submodule_hall_number(P1, S1, S2) == 1
+    assert b.submodule_hall_number(*foreign.values()) == 1
+
+
+def test_submodule_table_cap_is_per_dimension_vector():
+    """The scan of (L, d) stops at max_brute_force subspace tuples with the
+    count in the message, whatever else is cached; a smaller d still runs."""
+    ctx = RepContext(Quiver.parse("A2"), 2, max_brute_force=2)
+    L = ctx.class_by_name("S1+S1")
+    assert ctx.submodule_table(L, (0, 0)) == {(ctx.zero_class, L): 1}
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError, match=r"^3 subspace tuples to scan \(cap 2\)$"):
+            ctx.submodule_hall_number(L, ctx.class_by_name("S1"), ctx.class_by_name("S1"))
+
+
 def oracle_quotient_rep(ctx, repL, rows):
     """L / span(rows) through a complement of the rows, completed from the
     standard basis, and one inverse change of basis per vertex."""
