@@ -58,7 +58,11 @@ _OPTIONS = {
     "m": _Option(3, "period"),
     "format": _Option("text", "output format", ("text", "json")),
     "seed": _Option(0, "seed for randomized sweeps"),
-    "cap-dim": _Option(14, "chain-map space dimension cap", 0),
+    "cap-dim": _Option(
+        14,
+        "chain-map space dimension cap per coned pair; basis products cone stalk pairs only",
+        0,
+    ),
     "cap-cell": _Option(2_000_000, "per-cell representation cap", 1),
     "count-mode": _Option("quotient", "fiber counting strategy", ("quotient", "total")),
 }

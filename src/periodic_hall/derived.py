@@ -523,7 +523,9 @@ class DerivedContext:
         pair is first met, in the order of `RepContext.iso_classes_upto`.
         Every tuple walked then has nonempty fibers, and an empty one raises
         InvariantError.  The module fiber counts of each position key (A_i,
-        B_i, I_i, I_{i-1}) are tabulated once per context.  Both tables are
+        B_i, I_i, I_{i-1}) are tabulated once per context, each filled by
+        `_hall_fibers` from the same submodule tables and the Ext fibers of
+        stalk pairs, with no cone over I_i[1] + A_i.  Both tables are
         keyed by the interned classes, which hash by identity.  The last
         pair's result is kept in a one-slot memo: phi keeps module tuples,
         so the extended product of phi(a), phi(b) reuses the pass of the
@@ -575,37 +577,88 @@ class DerivedContext:
         return tuple(
             (cls, cls.dims, rep.aut_count(cls))
             for cls in rep.iso_classes_upto(tuple(map(min, b.dims, a_next.dims)))
-            if cls.is_zero
-            or (
-                any(U is cls for U, _ in rep.submodule_table(b, cls.dims))
-                and any(
-                    Q is cls
-                    for _, Q in rep.submodule_table(a_next, tuple(map(sub, a_next.dims, cls.dims)))
-                )
-            )
+            if self._cokernels(b, cls) and self._kernels(a_next, cls)
         )
 
     def _hall_fibers(self, a, b, i_cls, i_prev) -> dict:
         """{M: |fiber|} with H(M; I[1] + A, B + I'[-1]) = |fiber| * q^-hom(A, B),
         I' the connecting class one position back; every M has dim A + dim B
-        - dim I - dim I', which the extended product's exponent relies on."""
+        - dim I - dim I', which the extended product's exponent relies on.
+
+        A morphism I[1] + A -> B[1] + I' is (g, xi, h) with g in Hom(I, B),
+        xi in Ext^1(A, B) and h in Hom(A, I'); its cone is a module M[1]
+        exactly when g is mono and h is epi, and M is then the extension of
+        K = ker h by C = coker g that xi pushes and pulls to.  Ext^1(A, B) ->
+        Ext^1(K, C) is onto (Ext^2 = 0), so (Riedtmann; Schiffmann,
+        arXiv:math/0611617)
+
+            |fiber|(M) = sum_{C, K} mono(I -> B; C) * epi(A -> I'; K)
+                         * q^(ext(A, B) - ext(K, C)) * |Ext^1(K, C)_M|,
+
+        where mono(I -> B; C) = |Aut I| * `_cokernels(B, I)`[C] and
+        epi(A -> I'; K) = |Aut I'| * `_kernels(A, I')`[K] come from the
+        submodule tables, and |Ext^1(K, C)_M| is the module fiber count of
+        the stalks K and C, which `fiber_counts` cones once per pair.  No
+        cone over I[1] + A is built; the cone counter over that pair stays
+        the test oracle."""
+        rep, q = self.rep, self.q
         X = self.graded({1: i_cls, 0: a})
         Y = self.graded({0: b, -1: i_prev})
         e = self.hall_denominator_exponent(X, Y)
-        if e != self.rep.hom_dim(a, b):
+        if e != rep.hom_dim(a, b):
             raise InvariantError(
                 f"Hall exponent {e} of ({X}, {Y}) is not dim Hom({a.name}, {b.name})"
             )
-        fibers = self.module_fiber_counts(X, Y)
+        monos = self._cokernels(b, i_cls)
+        epis = self._kernels(a, i_prev)
+        auts = rep.aut_count(i_cls) * rep.aut_count(i_prev)
         dims = tuple(
             x + y - s - t for x, y, s, t in zip(a.dims, b.dims, i_cls.dims, i_prev.dims)
         )
-        for M in fibers:
-            if M.dims != dims:
-                raise InvariantError(
-                    f"{M.name} in the fiber of ({X}, {Y}) has dims {M.dims}, not {dims}"
-                )
+        ext_ab = rep.ext_dim(a, b)
+        fibers: dict = {}
+        for K, epi in epis.items():
+            for C, mono in monos.items():
+                ext_kc = rep.ext_dim(K, C)
+                if ext_kc > ext_ab:
+                    raise InvariantError(
+                        f"dim Ext^1({K.name}, {C.name}) = {ext_kc} exceeds dim "
+                        f"Ext^1({a.name}, {b.name}) = {ext_ab}, onto which it is mapped"
+                    )
+                ext = self.module_fiber_counts(self.stalk(K), self.stalk(C))
+                for M in ext:
+                    if M.dims != dims:
+                        raise InvariantError(
+                            f"{M.name} in the fiber of ({X}, {Y}) has dims {M.dims}, "
+                            f"not {dims}"
+                        )
+                if sum(ext.values()) != q**ext_kc:
+                    raise InvariantError(
+                        f"the fibers of Ext^1({K.name}, {C.name}) hold "
+                        f"{sum(ext.values())} classes, not q^{ext_kc}"
+                    )
+                weight = auts * epi * mono * q ** (ext_ab - ext_kc)
+                for M, n in ext.items():
+                    fibers[M] = fibers.get(M, 0) + weight * n
         return fibers
+
+    def _cokernels(self, b: IsoClass, i_cls: IsoClass) -> dict:
+        """{C: n}, n the number of submodules of B in the class I with
+        quotient C; empty exactly when I does not embed in B.  A zero I
+        reads no table."""
+        if i_cls.is_zero:
+            return {b: 1}
+        table = self.rep.submodule_table(b, i_cls.dims)
+        return {C: n for (U, C), n in table.items() if U is i_cls}
+
+    def _kernels(self, a: IsoClass, i_prev: IsoClass) -> dict:
+        """{K: n}, n the number of submodules of A in the class K with
+        quotient I'; empty exactly when I' is not a quotient of A.  A zero I'
+        reads no table."""
+        if i_prev.is_zero:
+            return {a: 1}
+        table = self.rep.submodule_table(a, tuple(map(sub, a.dims, i_prev.dims)))
+        return {K: n for (K, Q), n in table.items() if Q is i_prev}
 
     def derived_hall_number(self, X: GradedObject, Y: GradedObject, L: GradedObject) -> Scalar:
         """|Ext^1(X,Y)_L| / (|Hom(X,Y)| * {X,Y}) as an exact scalar."""

@@ -144,6 +144,19 @@ def test_resource_cap_exit_code(capsys):
     assert "cap" in err
 
 
+def test_cap_dim_trips_on_stalk_pairs_in_products(capsys):
+    """A product cones only the stalk pairs (K, C) of its Hall-table fills.
+    [P1@0] [P1@0] at m = 1 meets ext(K, C) = 0 only, so it finishes at cap
+    0, though the cone over P1[1] + P1 would have 2 free dimensions;
+    [S1@0] [S2@0] meets ext(S1, S2) = 1 and exits 4."""
+    base = ("multiply", "--quiver", "A2", "--q", "2", "--m", "1", "--cap-dim", "0", "periodic")
+    code, out, err = run(capsys, *base, "[P1@0]", "[P1@0]")
+    assert (code, out.strip()) == (0, "v^-1*[0] + v^-1*[P1+P1@0]"), err
+    code, _, err = run(capsys, *base, "[S1@0]", "[S2@0]")
+    assert code == 4
+    assert "dimension 1 exceeds cap 0 for S1@0 -> (S2@0)[1]" in err
+
+
 def test_json_schema_and_exactness(capsys):
     code, out, _ = run(
         capsys, "multiply", "--quiver", "A2", "--q", "3", "--m", "3",

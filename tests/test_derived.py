@@ -565,3 +565,116 @@ def test_partition_identity_on_random_quivers(text):
             ), (X, Y)
     report = partition_sweep(d, 1)
     assert report["passed"], report["failures"][:3]
+
+
+def fill_mismatches(d, bound):
+    """(keys, nonempty, mismatches) over the position keys (A, B, I, I')
+    with A, B within bound, dim I <= dim B and dim I' <= dim A: each fill of
+    d against the module fiber counts of the cone over (I[1] + A, B +
+    I'[-1]) in a fresh context, the oracle for the stalk Ext formula."""
+    rep = d.rep
+    oracle = DerivedContext(rep, cap_dim=d.cap_dim, count_mode=d.count_mode)
+    keys = nonempty = 0
+    mismatches = []
+    classes = rep.iso_classes_upto(bound)
+    for a, b in product(classes, repeat=2):
+        for i_cls in rep.iso_classes_upto(b.dims):
+            for i_prev in rep.iso_classes_upto(a.dims):
+                got = d._hall_fibers(a, b, i_cls, i_prev)
+                X = oracle.graded({1: i_cls, 0: a})
+                Y = oracle.graded({0: b, -1: i_prev})
+                keys += 1
+                nonempty += bool(got)
+                if got != oracle.module_fiber_counts(X, Y):
+                    mismatches.append((a.name, b.name, i_cls.name, i_prev.name))
+    return keys, nonempty, mismatches
+
+
+@pytest.mark.parametrize(
+    "quiver, q, counts",
+    [("A2", 2, (225, 144)), ("A2", 3, (225, 144)), ("2; 1->2, 1->2", 2, (1089, 324))],
+)
+def test_hall_fills_match_cone_oracle(quiver, q, counts):
+    """Every fill within the bound (1,1), empty keys included, equals the
+    cone count over (I[1] + A, B + I'[-1]) that the stalk formula replaces."""
+    d = DerivedContext(RepContext(Quiver.parse(quiver), q))
+    keys, nonempty, mismatches = fill_mismatches(d, (1, 1))
+    assert (keys, nonempty) == counts
+    assert not mismatches, mismatches[:5]
+
+
+def _classes_of_total_dim(rep, most):
+    return [
+        cls
+        for dims in product(range(most + 1), repeat=rep.quiver.n)
+        if sum(dims) <= most
+        for cls in rep.iso_classes_with_dims(dims)
+    ]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_small_quivers(), st.data())
+def test_hall_fills_match_cone_oracle_on_random_quivers(text, data):
+    """The stalk Ext formula against the cone oracle at q = 2 on random keys
+    with nonzero A, B and dim A + dim B <= 3.  The oracle's chain-map space
+    is then at most hom(I, B) + ext(A, B) + hom(A, I') <= 1 + 6 + 4 = 11
+    dimensional, under the default cap_dim of 14, even with three parallel
+    arrows.  I and I' are drawn largest class first, since hypothesis
+    leans to the head of a list and the zero class heads it."""
+    d = DerivedContext(RepContext(Quiver.parse(text), 2))
+    rep = d.rep
+    oracle = DerivedContext(rep)
+    classes = [cls for cls in _classes_of_total_dim(rep, 2) if not cls.is_zero]
+    for _ in range(6):
+        a = data.draw(st.sampled_from(classes))
+        b = data.draw(st.sampled_from([c for c in classes if c.total_dim + a.total_dim <= 3]))
+        i_cls = data.draw(st.sampled_from(rep.iso_classes_upto(b.dims)[::-1]))
+        i_prev = data.draw(st.sampled_from(rep.iso_classes_upto(a.dims)[::-1]))
+        X = oracle.graded({1: i_cls, 0: a})
+        Y = oracle.graded({0: b, -1: i_prev})
+        assert d._hall_fibers(a, b, i_cls, i_prev) == oracle.module_fiber_counts(X, Y), (
+            a, b, i_cls, i_prev
+        )
+
+
+def test_hall_fill_rejects_stalk_ext_larger_than_operands(monkeypatch):
+    """Ext^1(A, B) -> Ext^1(K, C) is onto, so a fill that meets a pair (K, C)
+    with the larger Ext raises instead of weighting it by a negative power."""
+    d = DerivedContext(RepContext(Quiver.parse("A2"), 2))
+    S1, S2, zero = (d.rep.class_by_name(name) for name in ("S1", "S2", "0"))
+    two_s2 = d.rep.class_by_name("S2+S2")
+    assert (d.rep.ext_dim(S1, S2), d.rep.ext_dim(S1, two_s2)) == (1, 2)
+    monkeypatch.setattr(d, "_cokernels", lambda b, i_cls: {two_s2: 1})
+    with pytest.raises(InvariantError, match=r"Ext\^1\(S1, S2\+S2\) = 2 exceeds"):
+        d._hall_fibers(S1, S2, zero, zero)
+
+
+def test_hall_fill_rejects_stalk_fibers_not_summing_to_ext(monkeypatch):
+    """The fibers of Ext^1(K, C) partition its q^ext(K, C) classes; a stalk
+    count that drops one raises."""
+    d = DerivedContext(RepContext(Quiver.parse("A2"), 2))
+    S1, S2, zero = (d.rep.class_by_name(name) for name in ("S1", "S2", "0"))
+    original = d.module_fiber_counts
+
+    def first_fiber_only(X, Y):
+        return dict(list(original(X, Y).items())[:1])
+
+    monkeypatch.setattr(d, "module_fiber_counts", first_fiber_only)
+    with pytest.raises(InvariantError, match=r"Ext\^1\(S1, S2\) hold 1 classes, not q\^1"):
+        d._hall_fibers(S1, S2, zero, zero)
+
+
+def test_hall_fill_caps_only_the_stalk_cones():
+    """A fill cones the stalk pairs (K, C) alone, so cap_dim trips on
+    ext(K, C): at cap 0 the key (S1, S2, 0, 0) still raises, since
+    ext(S1, S2) = 1, while (S1, S2, S2, S1), whose only pair is (0, 0),
+    fills, though its cone over I[1] + A has 3 free dimensions."""
+    d = DerivedContext(RepContext(Quiver.parse("A2"), 2), cap_dim=0)
+    S1, S2, zero = (d.rep.class_by_name(name) for name in ("S1", "S2", "0"))
+    with pytest.raises(ResourceLimitError, match="exceeds cap 0"):
+        d._hall_fibers(S1, S2, zero, zero)
+    assert d._hall_fibers(S1, S2, S2, S1) == {zero: 2}
+    X, Y = d.graded({1: S2, 0: S1}), d.graded({0: S2, -1: S1})
+    assert d.db_hom_dim(X, Y.shift(1)) == 3
+    with pytest.raises(ResourceLimitError, match="dimension 3 exceeds cap 0"):
+        d.fiber_counts(X, Y)
