@@ -22,6 +22,7 @@ from .embed import Embedding, PhiImage, check_identity_3_2, phi_exponent_t_units
 from .errors import (
     EvenPeriodError,
     HallError,
+    InvariantError,
     ParseError,
     ResourceLimitError,
     UsageError,
@@ -43,6 +44,7 @@ __all__ = [
     "ExtendedBasisElement",
     "GradedObject",
     "HallError",
+    "InvariantError",
     "IsoClass",
     "ParseError",
     "PeriodicAlgebra",

@@ -12,11 +12,14 @@ class in a basis element must be one that the algebra's own `RepContext`
 interned.
 
 Each algebra keeps one object per basis element in `_registry`, which its
-`_intern` fills, keyed by the classes in DH_m and by (classes, alphas) in
-DH^e_m: `basis` after its checks, every output of a basis product and
-every image of phi come from it.  So the lookups of the product caches and
-of the embedding check meet their keys by identity, and an output that
-repeats is not built again.  Only classes of the algebra's own context
+`_intern` fills, keyed by the element's `key`: its classes in DH_m, its
+(classes, alphas) in DH^e_m.  `basis` after its checks, every output of a
+basis product and every image of phi come from it.  Basis elements compare
+by identity, as classes do, so the product cache, the operand table and
+phi's cache key on the interned object itself, and an output that repeats
+is not built again.  `_check_basis` refuses a basis element that the
+registry does not hold, whether built by hand or by another algebra, at
+`element`, `monomial` and phi.  Only classes of the algebra's own context
 enter a registry.  Unlike the product cache it is not capped: it holds the
 basis elements a run has met, one small record each.
 
@@ -162,7 +165,7 @@ class Algebra:
         self.rep = derived.rep
         self.field = derived.field
         self.m = m
-        self._product_cache: OrderedDict = OrderedDict()
+        self._product_cache: OrderedDict = OrderedDict()  # (a, b) -> basis product
         self._operands: dict = {}  # basis element -> _operand_data
         self._registry: dict = {}  # key -> the one basis element (`_intern`)
 
@@ -177,9 +180,7 @@ class Algebra:
 
     def element(self, terms: dict) -> Element:
         for b in terms:
-            if not isinstance(b, self._basis_type):
-                raise UsageError(f"{b} is not a basis element of this algebra")
-            self._check_classes(b.classes)
+            self._check_basis(b)
         return Element(self, terms)
 
     def monomial(self, basis) -> Element:
@@ -188,6 +189,11 @@ class Algebra:
     def _check_element(self, other):
         if not isinstance(other, Element) or other.algebra is not self:
             raise UsageError("operands belong to different algebras")
+
+    def _check_basis(self, b) -> None:
+        """UsageError unless b is a basis element this algebra interned."""
+        if not isinstance(b, self._basis_type) or self._registry.get(b.key) is not b:
+            raise UsageError(f"{b} is not a basis element of this algebra")
 
     def _check_classes(self, classes) -> tuple:
         classes = tuple(classes)

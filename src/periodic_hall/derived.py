@@ -59,21 +59,8 @@ class GradedObject:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def support(self) -> tuple:
-        return tuple(deg for deg, _ in self.entries)
-
-    def part(self, degree: int):
-        for deg, cls in self.entries:
-            if deg == degree:
-                return cls
-        return None
-
     def shift(self, k: int) -> "GradedObject":
         return GradedObject(tuple((deg + k, cls) for deg, cls in self.entries))
-
-    @property
-    def total_dim(self) -> int:
-        return sum(cls.total_dim for _, cls in self.entries)
 
     def __str__(self):
         return literal.graded_text(self.entries)
@@ -335,7 +322,7 @@ class DerivedContext:
         self.field = ScalarField(rep.q)
         self.cap_dim = cap_dim
         self.count_mode = count_mode
-        self._stalk_res: dict = {}
+        self._stalk_res: dict = {}  # class -> (syzygy, cover, iota)
         self._res_cache: dict = {}
         self._fiber_cache: dict = {}
         self._hall_table: dict = {}  # (A_i, B_i, I_i, I_{i-1}) -> {M: n}
@@ -399,7 +386,7 @@ class DerivedContext:
 
     def _stalk_resolution(self, cls: IsoClass):
         """Minimal projective resolution data (syzygy, cover, inclusion)."""
-        cached = self._stalk_res.get(cls.key)
+        cached = self._stalk_res.get(cls)
         if cached is not None:
             return cached
         ctx = self.rep
@@ -442,7 +429,7 @@ class DerivedContext:
         if syzygy is None:
             raise InvariantError(f"syzygy of {cls.name} is not closed under the arrows")
         result = (syzygy, cover, iota)
-        self._stalk_res[cls.key] = result
+        self._stalk_res[cls] = result
         return result
 
     def _projective_paths(self, v: int):

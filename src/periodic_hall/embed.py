@@ -18,9 +18,12 @@ the extended basis element.  phi scales by t^units through
 `Scalar.times_t` and never through a generic product.  The image keeps
 the module tuple, so phi is injective on basis elements by construction.
 The exponent and the K-indices depend on the dimension vectors of the
-module tuple alone, so they are tabulated by those dims; the basis
-element comes from the extended algebra's registry, the one its basis
-products key their terms by.
+module tuple alone, so they are tabulated by those dims.  The image's
+basis element is interned in the extended algebra's registry, which keys
+its basis products' terms, without the checks of `basis`.  `phi_basis`
+caches each image under the periodic basis element, checking on a miss
+that the periodic algebra interned it (`combo`): a hand-built or foreign
+basis element is refused there, so by `phi` and the check too.
 
 `verify_homomorphism` checks phi(u_a u_b) = phi(u_a) phi(u_b) on basis
 elements, in integers.  Both basis products are dicts of integer records
@@ -108,17 +111,16 @@ class Embedding:
         self.m = periodic.m  # PeriodicAlgebra already rejects even m
         self.rep = periodic.rep
         self.field = periodic.field
-        self._phi_cache: dict = {}  # module tuple -> PhiImage
+        self._phi_cache: dict = {}  # periodic basis element -> PhiImage
         self._phi_dims: dict = {}  # dims of a module tuple -> (units, alphas)
 
     # -- the map -----------------------------------------------------------
 
     def phi_basis(self, b: PeriodicObject) -> PhiImage:
-        # by b.classes, not b: b hashes through a Python-level __hash__, and
-        # with b interned that lookup still measured slower than the tuple's
-        image = self._phi_cache.get(b.classes)
+        image = self._phi_cache.get(b)
         if image is None:
-            image = self._phi_cache[b.classes] = self._phi_basis(b)
+            self.periodic._check_basis(b)
+            image = self._phi_cache[b] = self._phi_basis(b)
         return image
 
     def _phi_basis(self, b: PeriodicObject) -> PhiImage:
@@ -127,13 +129,13 @@ class Embedding:
         if data is None:
             data = self._phi_dims[dims] = self._phi_data(dims)
         units, alphas = data
-        return PhiImage(units, self.extended.basis(b.classes, alphas))
+        return PhiImage(units, self.extended._intern(b.classes, alphas))
 
     def _phi_data(self, dims: tuple) -> tuple:
         """(units, alphas) of the images of module tuples with dimension
         vectors dims: phi reads a module tuple through its dims alone."""
         m = self.m
-        units = phi_exponent_t_units(dims, m, self.rep.euler)
+        units = phi_exponent_t_units(dims, m, self.rep.quiver.euler)
         alphas = tuple(
             tuple(-t for t in alternating_sum(dims, i + 1, range(m)))
             for i in range(m)

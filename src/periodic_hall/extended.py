@@ -16,8 +16,8 @@ tuple I, all the twist reads of I; q^-e = t^(-8e) joins the t-exponent.
 A basis product is a dict of integer records {basis: (num, den, n)}, each
 standing for num/den * t^n with the unreduced exponent n = a0 + inner - 8e
 of its group; it builds no rational and no scalar, and its keys come from
-the algebra's registry (`combo`), keyed by (classes, alphas), where phi's
-images come from too.
+the algebra's registry (`combo`), keyed by (classes, alphas), where phi
+interns its images too.
 
 a0 is bilinear in the two operands.  With l = `Quiver.euler_left`, r =
 `euler_right` and S(k) = l(k) + r(k), so that the symmetric pairing
@@ -48,7 +48,7 @@ over k = 1..m-1 are genuinely empty at m = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add, mul, sub
 
 from . import combo, literal
@@ -60,20 +60,17 @@ def convention_range(m: int):
     return (1,) if m == 1 else tuple(range(1, m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtendedBasisElement:
-    """u-part (module classes) and K-part (doubled half-lattice vectors)."""
+    """u-part (module classes) and K-part (doubled half-lattice vectors).
+    Its algebra interns one per key, so basis elements compare by identity."""
 
     classes: tuple
     alphas: tuple  # per degree, tuple of doubled integers
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # hashed once: products and the embedding check look bases up by key
-        object.__setattr__(self, "_hash", hash((self.classes, self.alphas)))
-
-    def __hash__(self):
-        return self._hash
+    @property
+    def key(self) -> tuple:
+        return self.classes, self.alphas
 
     @property
     def m(self) -> int:

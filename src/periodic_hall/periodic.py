@@ -18,10 +18,11 @@ pair's twist costs one dot product.  The Hall sum arrives from
 over one denominator q^e * den for the pair; only the twist is computed
 here.  A basis product is a dict of integer records
 {u_M: (num, den, n)}, each standing for num/den * t^n with the unreduced
-exponent n = 4 twist - 8e; it builds no rational and no scalar, and its
-keys come from the algebra's registry (`combo`).  Scalars
-are built only by `Algebra.multiply`, by `Embedding.phi` and by the
-failure report of the embedding check.
+exponent n = 4 twist - 8e; it builds no rational and no scalar.  Its
+keys come from the algebra's registry (`combo`), and it is cached under
+the operand pair (a, b), as in DH^e_m.  Scalars are built only by
+`Algebra.multiply`, by `Embedding.phi` and by the failure report of the
+embedding check.
 
 Only odd m is accepted: without the extension by K-elements the even
 periodic multiplication is not defined.
@@ -29,7 +30,7 @@ periodic multiplication is not defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
@@ -38,19 +39,16 @@ from .derived import DerivedContext
 from .errors import EvenPeriodError, ParseError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicObject:
-    """Basis element: one module class per degree in Z_m."""
+    """Basis element: one module class per degree in Z_m.  Its algebra
+    interns one per key, so basis elements compare by identity."""
 
     classes: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # hashed once: products and the embedding check look bases up by key
-        object.__setattr__(self, "_hash", hash(self.classes))
-
-    def __hash__(self):
-        return self._hash
+    @property
+    def key(self) -> tuple:
+        return self.classes
 
     @property
     def m(self) -> int:
@@ -97,7 +95,7 @@ class PeriodicAlgebra(combo.Algebra):
     # -- multiplication ---------------------------------------------------------
 
     def basis_product(self, a: PeriodicObject, b: PeriodicObject) -> dict:
-        key = (a.classes, b.classes)
+        key = (a, b)
         cached = self._product_cache.get(key)
         if cached is None:
             cached = self._remember_product(key, self._compute_basis_product(a, b))

@@ -347,7 +347,7 @@ class RepContext:
         self._classes: dict = {}
         self._indecs: list = []
         self._indec_by_name: dict = {}
-        self._rep_cache: dict = {}
+        self._rep_cache: dict = {}  # M -> its representative Rep
         self._hom_cache: dict = {}  # (M, N) -> dim Hom(M, N)
         self._aut_cache: dict = {}  # M -> |Aut M|
         self._upto_cache: dict = {}  # bound -> sorted tuple of classes
@@ -533,13 +533,13 @@ class RepContext:
         return cell.classes[cell.orbit(rep.mats, self.q)]
 
     def representative(self, cls: IsoClass) -> Rep:
-        rep = self._rep_cache.get(cls.key)
+        rep = self._rep_cache.get(cls)
         if rep is None:
             rep = make_rep(self.quiver, self.q, [0] * self.quiver.n)
             for iid, mult in cls.key:
                 for _ in range(mult):
                     rep = direct_sum_reps(self.quiver, rep, self._indecs[iid].rep)
-            self._rep_cache[cls.key] = rep
+            self._rep_cache[cls] = rep
         return rep
 
     def iso_classes_with_dims(self, dims) -> list:
@@ -648,9 +648,6 @@ class RepContext:
 
     # -- Euler forms -----------------------------------------------------------
 
-    def euler(self, d, e) -> int:
-        return self.quiver.euler(d, e)
-
     def sym_t_units(self, a_dbl, b_dbl) -> int:
         """(a/2, b/2) in quarter units, symmetrized Euler form."""
         return self.quiver.euler(a_dbl, b_dbl) + self.quiver.euler(b_dbl, a_dbl)
@@ -675,7 +672,7 @@ class RepContext:
         return h
 
     def ext_dim(self, M: IsoClass, N: IsoClass) -> int:
-        e = self.hom_dim(M, N) - self.euler(M.dims, N.dims)
+        e = self.hom_dim(M, N) - self.quiver.euler(M.dims, N.dims)
         if e < 0:
             raise InvariantError(
                 f"dim Ext^1({M.name}, {N.name}) = {e} is negative: "

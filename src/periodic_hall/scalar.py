@@ -41,6 +41,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rational(c) -> Fraction:
+    """c as a Fraction; as in `Scalar._check`, no float (it is inexact)."""
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c)
+    raise UsageError(f"expected an int or a Fraction, got {type(c).__name__} {c!r}")
+
+
 class ScalarField:
     """Shared context fixing the prime q; builds and names scalars."""
 
@@ -78,7 +85,7 @@ class ScalarField:
     def term(self, c, n: int) -> "Scalar":
         """c * t^n for a rational c in one step: t^n = q^k t^r with n = 8k + r."""
         if not isinstance(c, Fraction):
-            c = Fraction(c)
+            c = _rational(c)
         if not c:
             return self._zero
         r, c = self._fold(c, n)
@@ -104,7 +111,7 @@ class ScalarField:
             items = enumerate(coeffs)
         data = {}
         for j, c in items:
-            c = Fraction(c)
+            c = _rational(c)
             if c:
                 if not 0 <= j < _DEG:
                     raise UsageError(f"coefficient degree {j} out of range")

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from periodic_hall import suites
+import periodic_hall
+from periodic_hall import errors, suites
 from periodic_hall.cli import main
 from periodic_hall.repcat import RepContext
 
@@ -15,6 +16,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_every_error_type_is_exported():
+    """The package exports every HallError subclass the CLI maps to an exit
+    code, so a caller can catch each by its public name."""
+    kinds = [
+        obj
+        for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, errors.HallError)
+    ]
+    assert len(kinds) == 6
+    for kind in kinds:
+        assert kind.__name__ in periodic_hall.__all__
+        assert getattr(periodic_hall, kind.__name__) is kind
 
 
 def test_multiply_golden_text(capsys):

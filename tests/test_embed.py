@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import product_scalars, record_scalar
 
+from periodic_hall.combo import Element
 from periodic_hall.embed import (
     Embedding,
     PhiImage,
@@ -17,8 +18,8 @@ from periodic_hall.embed import (
     _same_value,
 )
 from periodic_hall.errors import EvenPeriodError, UsageError
-from periodic_hall.extended import ExtendedAlgebra
-from periodic_hall.periodic import PeriodicAlgebra
+from periodic_hall.extended import ExtendedAlgebra, ExtendedBasisElement
+from periodic_hall.periodic import PeriodicAlgebra, PeriodicObject
 from periodic_hall.scalar import ScalarField
 from periodic_hall.suites import (
     embedding_sweep,
@@ -80,11 +81,17 @@ def test_classes_of_another_context_rejected(a2_q2, dctx_factory):
         lambda: P.basis([S1]),
         lambda: P.basis([other.rep.zero_class]),
         lambda: E.basis([S2]),
+    ]
+    for case in cases:
+        with pytest.raises(UsageError, match="another context"):
+            case()
+    # a basis element of the other context's algebra is not one of P's
+    cases = [
         lambda: P.element({foreign.basis([S1]): P.field.one}),
         lambda: emb.phi_basis(foreign.basis([S2])),
     ]
     for case in cases:
-        with pytest.raises(UsageError, match="another context"):
+        with pytest.raises(UsageError, match="not a basis element of this algebra"):
             case()
     # a refused class enters neither registry
     assert not P._registry and not E._registry
@@ -92,6 +99,44 @@ def test_classes_of_another_context_rejected(a2_q2, dctx_factory):
     # the product that used to read the classes by their A2 names
     a, b = foreign.monomial(foreign.basis([S1])), foreign.monomial(foreign.basis([S2]))
     assert str(foreign.multiply(a, b)) == "[S1+S2@0]"
+
+
+def test_basis_elements_not_interned_rejected(a2_q2):
+    """A basis element with the key of one of P's, built by hand or by a
+    second algebra over the same context, is refused at every entry of a
+    basis element: element, monomial, phi_basis, phi and the check.  The
+    extended algebra refuses its own kind alike."""
+    S1, Z = a2_q2.rep.class_by_name("S1"), a2_q2.rep.zero_class
+    emb = make_embedding(a2_q2, 3)
+    P, E = emb.periodic, emb.extended
+    own = P.basis([S1, Z, Z])
+    strangers = [PeriodicObject((S1, Z, Z)), PeriodicAlgebra(a2_q2, 3).basis([S1, Z, Z])]
+    for b in strangers:
+        assert b.key == own.key
+        cases = [
+            lambda: P.element({b: P.field.one}),
+            lambda: P.monomial(b),
+            lambda: emb.phi_basis(b),
+            lambda: emb.phi(Element(P, {b: P.field.one})),
+            lambda: emb.verify_homomorphism(own, b),
+            lambda: emb.verify_homomorphism(b, own),
+        ]
+        for case in cases:
+            with pytest.raises(UsageError, match="not a basis element of this algebra"):
+                case()
+    # no refused element reached phi's cache
+    assert set(emb._phi_cache) == {own}
+
+    x = emb.phi_basis(own).basis
+    strangers = [
+        ExtendedBasisElement(x.classes, x.alphas),
+        ExtendedAlgebra(a2_q2, 3).basis(x.classes, x.alphas),
+    ]
+    for y in strangers:
+        assert y.key == x.key
+        for case in (lambda: E.element({y: E.field.one}), lambda: E.monomial(y)):
+            with pytest.raises(UsageError, match="not a basis element of this algebra"):
+                case()
 
 
 def test_basis_of_the_other_algebra_rejected(a2_q2):
@@ -137,7 +182,7 @@ def test_phi_general_formula_reduces_at_m1(a1_q2, a2_q2):
     for d in (a1_q2, a2_q2):
         ctx = d.rep
         for cls in ctx.iso_classes_upto((2,) * ctx.quiver.n):
-            units = phi_exponent_t_units([cls.dims], 1, ctx.euler)
+            units = phi_exponent_t_units([cls.dims], 1, ctx.quiver.euler)
             assert units == 0
             emb = make_embedding(d, 1)
             image = emb.phi_basis(emb.periodic.basis([cls]))
@@ -255,7 +300,10 @@ def test_phi_images_are_cached(a2_q2, m):
         b = emb.periodic.basis(sample_module_tuple(ctx, rng, m, (1, 1)))
         image = emb.phi_basis(b)
         assert emb.phi_basis(b) is image
-        assert make_embedding(a2_q2, m).phi_basis(b) == image
+        # a fresh embedding gives the image of its own basis element alike
+        other = make_embedding(a2_q2, m)
+        twin = other.phi_basis(other.periodic.basis(b.classes))
+        assert (twin.units, twin.basis.key) == (image.units, image.basis.key)
 
 
 @pytest.mark.parametrize("wrong", ["operand", "product term"])

@@ -9,7 +9,7 @@ import pytest
 from conftest import product_scalars
 
 from periodic_hall.errors import ParseError
-from periodic_hall.extended import ExtendedAlgebra, ExtendedBasisElement
+from periodic_hall.extended import ExtendedAlgebra
 from periodic_hall.periodic import PeriodicAlgebra
 from periodic_hall.suites import (
     associativity_sweep,
@@ -125,7 +125,7 @@ def test_reproduces_plain_twisted_formula_on_k_free_inputs(a2_q2):
 
     def direct_product(A, B):
         terms = {}
-        prefactor = 4 * sum(ctx.euler(A[i].dims, B[i].dims) for i in range(m))
+        prefactor = 4 * sum(ctx.quiver.euler(A[i].dims, B[i].dims) for i in range(m))
         bounds = [
             tuple(min(x, y) for x, y in zip(B[i].dims, A[(i + 1) % m].dims))
             for i in range(m)
@@ -144,8 +144,8 @@ def test_reproduces_plain_twisted_formula_on_k_free_inputs(a2_q2):
                 continue
             inner = 0
             for i in range(1, m):
-                inner += 4 * ctx.euler(I[i - 1].dims, I[i].dims)
-            inner -= 4 * ctx.euler(I[0].dims, I[m - 1].dims)
+                inner += 4 * ctx.quiver.euler(I[i - 1].dims, I[i].dims)
+            inner -= 4 * ctx.quiver.euler(I[0].dims, I[m - 1].dims)
             gammas = tuple(tuple(2 * t for t in I[i].dims) for i in range(m))
             for chosen in product(*(f.items() for f in factors)):
                 modules = tuple(cls for cls, _ in chosen)
@@ -157,8 +157,8 @@ def test_reproduces_plain_twisted_formula_on_k_free_inputs(a2_q2):
                     diff = np.array(modules[i].dims) - np.array(
                         modules[(i + 1) % m].dims
                     )
-                    mexp += 4 * ctx.euler(diff, I[i].dims)
-                basis = ExtendedBasisElement(modules, gammas)
+                    mexp += 4 * ctx.quiver.euler(diff, I[i].dims)
+                basis = E.basis(modules, gammas)
                 scalar = d.field.v_power(prefactor + inner + mexp) * d.field.from_rational(coeff)
                 prev = terms.get(basis)
                 terms[basis] = prev + scalar if prev is not None else scalar
@@ -194,17 +194,17 @@ def test_structure_constants_match_periodic(a2_q2):
         recovered = {}
         for basis, scalar in ext.items():
             i_dims = [tuple(x // 2 for x in a) for a in basis.alphas]
-            prefactor = 4 * sum(ctx.euler(A[i].dims, B[i].dims) for i in range(m))
+            prefactor = 4 * sum(ctx.quiver.euler(A[i].dims, B[i].dims) for i in range(m))
             inner = 0
             for i in range(1, m):
-                inner += 4 * ctx.euler(i_dims[i - 1], i_dims[i])
-            inner -= 4 * ctx.euler(i_dims[0], i_dims[m - 1])
+                inner += 4 * ctx.quiver.euler(i_dims[i - 1], i_dims[i])
+            inner -= 4 * ctx.quiver.euler(i_dims[0], i_dims[m - 1])
             mexp = 0
             for i in range(m):
                 diff = np.array(basis.classes[i].dims) - np.array(
                     basis.classes[(i + 1) % m].dims
                 )
-                mexp += 4 * ctx.euler(diff, i_dims[i])
+                mexp += 4 * ctx.quiver.euler(diff, i_dims[i])
             bare = scalar * d.field.v_power(-(prefactor + inner + mexp))
             prev = recovered.get(basis.classes)
             recovered[basis.classes] = prev + bare if prev is not None else bare
@@ -215,7 +215,7 @@ def test_structure_constants_match_periodic(a2_q2):
                 alt = sum(
                     (-1) ** k * np.array(A[(i + k) % m].dims) for k in range(m)
                 )
-                twist += ctx.euler(alt, B[i].dims)
+                twist += ctx.quiver.euler(alt, B[i].dims)
             bare = pscalar * d.field.v_power(-4 * twist)
             assert recovered.get(pbasis.classes) == bare
         assert len(recovered) == len(per)

@@ -13,8 +13,8 @@ from conftest import product_scalars
 from periodic_hall import combo
 from periodic_hall.derived import DerivedContext
 from periodic_hall.embed import Embedding
-from periodic_hall.extended import ExtendedAlgebra, ExtendedBasisElement, convention_range
-from periodic_hall.periodic import PeriodicAlgebra, PeriodicObject
+from periodic_hall.extended import ExtendedAlgebra, convention_range
+from periodic_hall.periodic import PeriodicAlgebra
 from periodic_hall.repcat import Quiver, RepContext
 from periodic_hall.suites import embedding_sweep, periodic_basis_elements
 
@@ -31,13 +31,14 @@ def make_embedding(quiver, q, m):
 
 
 def periodic_product_oracle(P, a, b):
-    """u_a u_b with one Fraction per Hall-sum numerator, summed per term."""
+    """u_a u_b with one Fraction per Hall-sum numerator, summed per term,
+    keyed by the module tuple of each output."""
     m, rep = P.m, P.rep
     dims_a = [cls.dims for cls in a.classes]
     dims_b = [cls.dims for cls in b.classes]
     twist = 0
     for i in range(m):
-        twist += rep.euler(combo.alternating_sum(dims_a, i, range(m)), dims_b[i])
+        twist += rep.quiver.euler(combo.alternating_sum(dims_a, i, range(m)), dims_b[i])
     e, den, groups = P.derived.connecting_terms(a.classes, b.classes)
     weight = Fraction(P.field.q) ** -e / den
     accum = {}
@@ -45,14 +46,15 @@ def periodic_product_oracle(P, a, b):
         for modules, num in terms.items():
             accum[modules] = accum.get(modules, 0) + num * weight
     return {
-        PeriodicObject(modules): P.field.term(coeff, 4 * twist)
+        modules: P.field.term(coeff, 4 * twist)
         for modules, coeff in accum.items()
         if coeff
     }
 
 
 def extended_product_oracle(E, x, y):
-    """u_x u_y with every pairing evaluated by the Euler form, per term."""
+    """u_x u_y with every pairing evaluated by the Euler form, per term,
+    keyed by the (classes, alphas) of each output."""
     m, rep = E.m, E.rep
     A, alphas = x.classes, x.alphas
     B, betas = y.classes, y.alphas
@@ -60,7 +62,7 @@ def extended_product_oracle(E, x, y):
     dims_b = [cls.dims for cls in B]
     a0 = 0
     for i in range(m):
-        a0 += 4 * rep.euler(dims_a[i], dims_b[i])
+        a0 += 4 * rep.quiver.euler(dims_a[i], dims_b[i])
     for i in range(m):
         delta = [2 * (s - t) for s, t in zip(dims_b[i], dims_b[(i + 1) % m])]
         a0 += rep.sym_t_units(alphas[i], delta)
@@ -79,8 +81,8 @@ def extended_product_oracle(E, x, y):
             ab = tuple(p + q for p, q in zip(alphas[(i - 1) % m], betas[(i - 1) % m]))
             inner += rep.sym_t_units(dbl_i[i % m], ab)
         for i in convention_range(m):
-            inner += 4 * rep.euler(dims_i[(i - 1) % m], dims_i[i % m])
-        inner -= 4 * rep.euler(dims_i[0], dims_i[m - 1])
+            inner += 4 * rep.quiver.euler(dims_i[(i - 1) % m], dims_i[i % m])
+        inner -= 4 * rep.quiver.euler(dims_i[0], dims_i[m - 1])
         base = a0 + inner - 8 * e
         gammas = tuple(
             tuple(d2 + p + q for d2, p, q in zip(dbl_i[i], alphas[i], betas[i]))
@@ -90,16 +92,16 @@ def extended_product_oracle(E, x, y):
         for modules, num in terms.items():
             m_exp = 0
             for cls, step in zip(modules, steps):
-                m_exp += rep.euler(cls.dims, step)
+                m_exp += rep.quiver.euler(cls.dims, step)
             scalar = E.field.term(Fraction(num, den), base + 4 * m_exp)
-            combo.add_term(out, ExtendedBasisElement(modules, gammas), scalar)
+            combo.add_term(out, (modules, gammas), scalar)
     return out
 
 
 def assert_same_terms(algebra, product, want):
-    """Equal scalars on equal bases, in the same term order."""
+    """Equal scalars on bases of equal keys, in the same term order."""
     got = product_scalars(algebra, product)
-    assert list(got.items()) == list(want.items())
+    assert [(b.key, s) for b, s in got.items()] == list(want.items())
 
 
 ORACLE_CASES = [
@@ -223,24 +225,28 @@ def test_product_caches_are_bounded(monkeypatch):
     def embedding():
         return Embedding(PeriodicAlgebra(d, 3), ExtendedAlgebra(d, 3))
 
+    def pairs(emb):
+        elements = periodic_basis_elements(emb.periodic, (1, 1), max_degrees=1)
+        return [(a, b) for a in elements for b in elements]
+
     def products(emb, a, b):
+        """The check's report and both basis products, keyed by basis keys:
+        the two embeddings intern basis elements of their own."""
         x, y = emb.phi_basis(a).basis, emb.phi_basis(b).basis
         return (
             emb.verify_homomorphism(a, b),
-            emb.periodic.basis_product(a, b),
-            emb.extended.basis_product(x, y),
+            {u.key: r for u, r in emb.periodic.basis_product(a, b).items()},
+            {u.key: r for u, r in emb.extended.basis_product(x, y).items()},
         )
 
     full = embedding()
-    elements = periodic_basis_elements(full.periodic, (1, 1), max_degrees=1)
-    pairs = [(a, b) for a in elements for b in elements]
-    want = [products(full, a, b) for a, b in pairs]
+    want = [products(full, a, b) for a, b in pairs(full)]
     want_report = embedding_sweep(full, (1, 1), max_degrees=1)
 
     monkeypatch.setattr(combo, "PRODUCT_CACHE_SIZE", 4)
     capped = embedding()
     caches = (capped.periodic._product_cache, capped.extended._product_cache)
-    for (a, b), expected in zip(pairs, want):
+    for (a, b), expected in zip(pairs(capped), want, strict=True):
         assert products(capped, a, b) == expected
         assert all(len(cache) <= 4 for cache in caches)
     assert all(len(cache) == 4 for cache in caches)
@@ -294,9 +300,10 @@ def test_operand_and_candidate_tables_grow_with_operands():
             for c in rep._upto_cache[bound]
             if is_sub(c, b_cls) and is_quot(c, a_next)
         )
-    phi_keys = set(emb._phi_cache)
+    phi_keys = {b.classes for b in emb._phi_cache}
     assert set(emb._phi_dims) == {tuple(c.dims for c in classes) for classes in phi_keys}
     assert set(emb.periodic._registry) == phi_keys
+    assert set(emb._phi_cache) == set(emb.periodic._registry.values())
     assert {key[0] for key in emb.extended._registry} == phi_keys
     assert len(emb.extended._registry) == len(phi_keys)
 
@@ -376,8 +383,13 @@ def test_basis_is_one_object_per_key(a2_q2):
     assert x is E.parse_basis("[S1@0]*K[(1,0)/2@0, (0,-1)@2]") is E.parse_basis(str(x))
     assert E.basis([S1, Z, Z]) is E.basis([S1, Z, Z], [(0, 0)] * 3)
     assert E.k_monomial(alphas) is E.basis([Z, Z, Z], alphas)
-    # another algebra over the same context keeps its own registry
-    assert PeriodicAlgebra(a2_q2, 3).basis([S1, Z, Z]) is not P.basis([S1, Z, Z])
+    # another algebra over the same context keeps its own registry, and its
+    # basis element of an equal key is another, unequal element
+    u, w = PeriodicAlgebra(a2_q2, 3).basis([S1, Z, Z]), P.basis([S1, Z, Z])
+    assert u.key == w.key and u is not w and u != w
+    y = ExtendedAlgebra(a2_q2, 3).basis([S1, Z, Z], alphas)
+    assert y.key == x.key and y != x
+    assert len({u, w, x, y}) == 4
 
 
 # sha256 of phi(a b), as compact to_json text, over the Kronecker sweep in

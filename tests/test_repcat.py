@@ -91,10 +91,10 @@ def test_hom_ext_dimensions(ctx_factory):
 
 def test_euler_form(ctx_factory):
     ctx = ctx_factory("A2", 2)
-    assert ctx.euler((1, 0), (0, 1)) == -1
-    assert ctx.euler((1, 0), (0, 0)) == 0
+    assert ctx.quiver.euler((1, 0), (0, 1)) == -1
+    assert ctx.quiver.euler((1, 0), (0, 0)) == 0
     # on doubled vectors the form counts quarter units: <S1/2, S1/2> = 1/4
-    assert ctx.euler((1, 0), (1, 0)) == 1
+    assert ctx.quiver.euler((1, 0), (1, 0)) == 1
     assert ctx.sym_t_units((1, 0), (0, 1)) == -1
 
 
@@ -105,7 +105,7 @@ def test_euler_matches_hom_minus_ext(ctx_factory):
         for m in classes:
             for n in classes:
                 h, e = ctx.hom_dim(m, n), ctx.ext_dim(m, n)
-                assert h - e == ctx.euler(m.dims, n.dims)
+                assert h - e == ctx.quiver.euler(m.dims, n.dims)
 
 
 def test_aut_counts(ctx_factory):

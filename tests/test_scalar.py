@@ -221,6 +221,28 @@ def test_term_matches_power_times_rational(q):
         assert f.term(Fraction(0), n) == f.zero
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, 2.0, "1/2", None])
+def test_non_rational_coefficients_rejected(bad):
+    """A float would give a silently inexact scalar (0.1 is 3602879701896397 /
+    2^55), so every builder takes ints and Fractions only, as arithmetic does."""
+    f = ScalarField(3)
+    cases = [
+        lambda: f.term(bad, 0),
+        lambda: f.term(bad, 5),
+        lambda: f.from_rational(bad),
+        lambda: f.scalar([bad]),
+        lambda: f.scalar({2: bad}),
+    ]
+    for case in cases:
+        with pytest.raises(UsageError, match="expected an int or a Fraction"):
+            case()
+    with pytest.raises(TypeError):
+        f.one + bad
+    # ints, Fractions and bools (ints) still build exact scalars
+    assert f.from_rational(True) == f.term(Fraction(2, 2), 0) == f.one
+    assert f.scalar([0, 1]) == f.term(1, 1)
+
+
 # at least two nonzero coefficients: never a monomial, so times_t cannot
 # lean on the single-term shape that every basis product produces
 _non_monomial = st.dictionaries(
