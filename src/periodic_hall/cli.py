@@ -206,7 +206,7 @@ def _cmd_multiply(args) -> int:
     return 0
 
 
-def _verify_report(settings: Settings, args, report: dict) -> int:
+def _verify_report(settings: Settings, report: dict) -> int:
     lines = [
         f"suite: {report['suite']}",
         f"checked: {report['checked']}",
@@ -250,22 +250,22 @@ def _cmd_verify(args) -> int:
             "passed": all(r["passed"] for r in reports),
             "parts": reports,
         }
-        return _verify_report(settings, args, merged)
+        return _verify_report(settings, merged)
 
     if args.suite == "embedding":
         periodic = PeriodicAlgebra(dctx, settings.m)
         extended = ExtendedAlgebra(dctx, settings.m)
         embedding = Embedding(periodic, extended)
         report = suites.embedding_sweep(embedding, bound, args.max_degrees)
-        return _verify_report(settings, args, report)
+        return _verify_report(settings, report)
 
     if args.suite == "partition":
-        report = suites.partition_sweep(dctx, args.total_dim, mode=dctx.count_mode)
-        return _verify_report(settings, args, report)
+        report = suites.partition_sweep(dctx, args.total_dim)
+        return _verify_report(settings, report)
 
     if args.suite == "identities":
         report = suites.identities_sweep(settings.m, args.samples, rng, n)
-        return _verify_report(settings, args, report)
+        return _verify_report(settings, report)
 
     raise UsageError(f"unknown suite {args.suite!r}")
 

@@ -19,9 +19,11 @@ by identity, as classes do, so the product cache, the operand table and
 phi's cache key on the interned object itself, and an output that repeats
 is not built again.  `_check_basis` refuses a basis element that the
 registry does not hold, whether built by hand or by another algebra, at
-`element`, `monomial` and phi.  Only classes of the algebra's own context
-enter a registry.  Unlike the product cache it is not capped: it holds the
-basis elements a run has met, one small record each.
+`element`, `monomial`, phi and the first product of each operand, so
+also in a hand-built `Element` that reaches `multiply`.  Only classes of
+the algebra's own context enter a registry.  Unlike the product cache it
+is not capped: it holds the basis elements a run has met, one small
+record each.
 
 A basis product is a dict of integer records {basis: (num, den, n)}, each
 standing for num/den * t^n with an unreduced t-exponent n.  `multiply`
@@ -224,9 +226,12 @@ class Algebra:
 
     def _operand(self, x) -> tuple:
         """The twist functionals of basis element x (`_operand_data`), computed
-        once per operand: a twist is bilinear, so a pair costs dot products."""
+        once per operand: a twist is bilinear, so a pair costs dot products.
+        A miss checks x (`_check_basis`), and every product miss passes here
+        for both operands."""
         data = self._operands.get(x)
         if data is None:
+            self._check_basis(x)
             data = self._operands[x] = self._operand_data(x)
         return data
 

@@ -141,32 +141,27 @@ def _map_layout(C: ProjComplex, D: ProjComplex, lag: int = 0):
 class _Cone:
     """Mapping cones of the chain maps C -> D whose coordinates follow `layout`.
 
-    cone(f) has term C^{n+1} + D^n in degree n and differential
-    [[-dC, 0], [f, dD]]; all but the f block is fixed, so it is built once.
+    cone(f) is C[1] + D, with C[1]^n = C^{n+1} and differential -dC^{n+1},
+    plus the block f^{n+1} from C^{n+1} to D^{n+1} in its differential n:
+    [[-dC, 0], [f, dD]].  The sum C[1] + D is fixed, so `direct_sum_complexes`
+    builds it once, and `homology` writes only the f blocks.
     """
 
     def __init__(self, C: ProjComplex, D: ProjComplex, layout: _VarLayout):
         self.ctx = ctx = C.ctx
-        degs = sorted({n - 1 for n in C.terms} | set(D.terms))
-        self.terms = {
-            n: direct_sum_reps(ctx.quiver, C.term(n + 1), D.term(n)) for n in degs
-        }
-        self.templates = {}
+        shifted = ProjComplex(
+            ctx,
+            {n - 1: rep for n, rep in C.terms.items()},
+            {n - 1: _signed(d, 1, ctx.q) for n, d in C.diffs.items()},
+        )
+        cone = direct_sum_complexes(shifted, D)
+        self.terms, self.templates = cone.terms, cone.diffs
         self.slots = []  # (degree, vertex, first row of the f block, layout slot)
-        for n in degs:
-            if n + 1 not in self.terms:
-                continue
-            minus_dC, dD = _signed(C.diff(n + 1), 1, ctx.q), D.diff(n)
-            mats = []
+        for n in sorted(self.templates):
             for v in range(ctx.quiver.n):
-                c_rows, c_cols = C.term(n + 2).dims[v], C.term(n + 1).dims[v]
-                mats.append(
-                    linalg.block_diag(minus_dC[v], c_cols, dD[v], D.term(n).dims[v])
-                )
                 slot = layout.slot(n + 1, v)
                 if slot is not None:
-                    self.slots.append((n, v, c_rows, slot))
-            self.templates[n] = mats
+                    self.slots.append((n, v, C.term(n + 2).dims[v], slot))
 
     def homology(self, fvec: list) -> GradedObject:
         """Graded object L with cone(f) = L[1] for the chain map f, given as

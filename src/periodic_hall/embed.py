@@ -30,16 +30,19 @@ elements, in integers.  Both basis products are dicts of integer records
 (num, den, n) for num/den * t^n.  A term of the periodic product u_a u_b
 maps to its record times t^units(M) on phi(u_M); the extended basis
 product of the two images carries t^(units(a) + units(b)).  Since t is
-invertible, the two sides agree on a basis element exactly when the record
-(num, den, n + units(M) - units(a) - units(b)) names the same scalar as the
-extended record there (`_same_value`).  The lookup meets the extended key
-by identity, as both come from one registry.  Equal tuples match at once;
-otherwise the exponents must agree mod 8 and the rationals, with the
-q-power of the exponent difference moved to one side, must agree by cross
-multiplication.  The check builds no rational and no scalar unless it
-fails, when `_first_diff` reports the first difference as scalars.  The
-two products come from the two independent multiplication pipelines; no
-element-level multiplication is involved.
+invertible, the two sides agree on a basis element when the record
+(num, den, n + units(M) - units(a) - units(b)) equals the extended record
+there, and the check compares the two dicts as they are.  The lookup
+meets the extended key by identity, as both come from one registry.
+Tuple equality is exact here: both products read one `connecting_terms`
+result, so the periodic record of M and the extended record at phi(M)
+carry the same num > 0 and the same den, and such records name one scalar
+exactly when their exponents agree.  A record that writes an equal value
+in another form fails, so nothing passes falsely.  The check builds no
+rational and no scalar unless it fails, when `_first_diff` reports the
+first difference as scalars.  The two products come from the two
+independent multiplication pipelines; no element-level multiplication is
+involved.
 """
 
 from __future__ import annotations
@@ -71,31 +74,6 @@ def phi_exponent_t_units(dims, m: int, euler) -> int:
     for i in range(m):
         units += 4 * euler(dims[i], alternating_sum(dims, i, range(1, m)))
     return units
-
-
-def _same_value(record: tuple, other, q: int) -> bool:
-    """Whether two records (num, den, n), each num/den * t^n in Q[t]/(t^8 -
-    q), name the same scalar; other may be None, a missing term, which no
-    record equals (as no scalar equals None).
-
-    t^n = q^k t^r with n = 8k + r, 0 <= r < 8, and the t^r are a basis over
-    Q, so nonzero values agree exactly when their exponents agree mod 8 and
-    num/den * q^j == num'/den' with n - n' = 8j.
-    """
-    if record == other:
-        return True
-    if other is None:
-        return False
-    num, den, n = record
-    num2, den2, n2 = other
-    if not num or not num2:
-        return not num and not num2
-    j, r = divmod(n - n2, 8)
-    if r:
-        return False
-    if j >= 0:
-        return num * den2 * q**j == num2 * den
-    return num * den2 == num2 * den * q**-j
 
 
 class Embedding:
@@ -158,10 +136,11 @@ class Embedding:
         every phi scalar is a t-power, so both sides are read off the two
         cached basis products term by term.  The left side keeps each
         periodic record (num, den, n) at the image of its basis element,
-        with n shifted by units(M) - units(a) - units(b); it equals the
-        extended record there when both name one scalar (`_same_value`).
-        With equal term counts, that is equality of the two sides.  Only a
-        failing check builds scalars, to report the first difference.
+        with n shifted by units(M) - units(a) - units(b), and the two sides
+        agree when the two dicts are equal, record for record as tuples:
+        records of one `connecting_terms` result share num and den, so equal
+        values are equal tuples.  Only a failing check builds scalars, to
+        report the first difference.
         """
         phi = self.phi_basis
         image_a = phi(a)
@@ -172,10 +151,7 @@ class Embedding:
             image = phi(basis)
             lhs[image.basis] = (num, den, n + image.units - shift)
         rhs = self.extended.basis_product(image_a.basis, image_b.basis)
-        q = self.field.q
-        equal = len(lhs) == len(rhs) and all(
-            _same_value(record, rhs.get(basis), q) for basis, record in lhs.items()
-        )
+        equal = lhs == rhs
         report = {
             "pair": [str(a), str(b)],
             "equal": equal,

@@ -72,10 +72,6 @@ class ExtendedBasisElement:
     def key(self) -> tuple:
         return self.classes, self.alphas
 
-    @property
-    def m(self) -> int:
-        return len(self.classes)
-
     def sort_key(self):
         return (tuple(c.sort_key() for c in self.classes), self.alphas)
 

@@ -87,14 +87,6 @@ def is_invertible(a: list, q: int) -> bool:
     return all(len(row) == n for row in a) and rank(a, q) == n
 
 
-def inverse(a: list, q: int):
-    """a^-1, or None when a is singular or not square."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        return None
-    return solve(a, [[int(i == j) for j in range(n)] for i in range(n)], n, q)
-
-
 def row_space(rows: list, q: int) -> list:
     """Nonzero rows of the rref: canonical basis of the row space."""
     if not rows or not rows[0]:

@@ -50,10 +50,6 @@ class PeriodicObject:
     def key(self) -> tuple:
         return self.classes
 
-    @property
-    def m(self) -> int:
-        return len(self.classes)
-
     def sort_key(self):
         return tuple(c.sort_key() for c in self.classes)
 

@@ -535,6 +535,7 @@ class RepContext:
     def representative(self, cls: IsoClass) -> Rep:
         rep = self._rep_cache.get(cls)
         if rep is None:
+            self._check_class(cls, "to represent")
             rep = make_rep(self.quiver, self.q, [0] * self.quiver.n)
             for iid, mult in cls.key:
                 for _ in range(mult):
@@ -718,6 +719,7 @@ class RepContext:
         count = self._aut_cache.get(M)
         if count is not None:
             return count
+        self._check_class(M, "as M")
         if sum(mult for _, mult in M.key) <= 1:
             count = self._enumerated_aut_count(M)
         else:

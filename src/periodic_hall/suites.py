@@ -137,16 +137,15 @@ def graded_objects_upto(dctx: DerivedContext, max_total: int, degrees=(0, 1)):
     return out
 
 
-def partition_sweep(
-    dctx: DerivedContext, max_total: int, degrees=(0, 1), mode: str = "total"
-) -> dict:
-    """sum_L |Ext^1(X, Y)_L| = q^{dim Hom(X, Y[1])} over a full desk-scale sweep."""
+def partition_sweep(dctx: DerivedContext, max_total: int, degrees=(0, 1)) -> dict:
+    """sum_L |Ext^1(X, Y)_L| = q^{dim Hom(X, Y[1])} over a full desk-scale
+    sweep, counting in the context's `count_mode`."""
     objects = graded_objects_upto(dctx, max_total, degrees)
     failures = []
     checked = 0
     for X in objects:
         for Y in objects:
-            counts = dctx.fiber_counts(X, Y, mode=mode)
+            counts = dctx.fiber_counts(X, Y)
             total = sum(counts.values())
             expected = dctx.q ** dctx.db_hom_dim(X, Y.shift(1))
             checked += 1

@@ -8,13 +8,14 @@ numeric tolerances anywhere.
 
 import random
 
+from periodic_hall.derived import DerivedContext
 from periodic_hall.embed import Embedding
 from periodic_hall.errors import EvenPeriodError
 from periodic_hall.extended import ExtendedAlgebra
 from periodic_hall.periodic import PeriodicAlgebra
 from periodic_hall import suites
 
-from conftest import _derived_context
+from conftest import _derived_context, _rep_context
 
 
 def _announce(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -85,7 +86,8 @@ def test_criterion_3_partition_identity():
     failures = []
     checked = 0
     for q, bound in ((2, 3), (3, 2)):
-        report = suites.partition_sweep(_derived_context("A2", q), bound, mode="total")
+        d = DerivedContext(_rep_context("A2", q), count_mode="total")
+        report = suites.partition_sweep(d, bound)
         checked += report["checked"]
         if not report["passed"]:
             failures.append((q, report["failures"][:2]))

@@ -78,8 +78,8 @@ def test_kronecker_quiver_fibers():
 
 def test_kronecker_partition_quotient_mode():
     ctx = RepContext(Quiver.parse("2; 1->2, 1->2"), 2)
-    d = DerivedContext(ctx)
-    report = suites.partition_sweep(d, 2, mode="quotient")
+    d = DerivedContext(ctx, count_mode="quotient")
+    report = suites.partition_sweep(d, 2)
     assert report["passed"], report["failures"][:2]
 
 

@@ -242,9 +242,9 @@ def test_verify_partition_small(capsys, tmp_path, monkeypatch):
     modes = []
     sweep = suites.partition_sweep
 
-    def recording_sweep(dctx, max_total, mode):
-        modes.append(mode)
-        return sweep(dctx, max_total, mode=mode)
+    def recording_sweep(dctx, max_total):
+        modes.append(dctx.count_mode)
+        return sweep(dctx, max_total)
 
     monkeypatch.setattr(suites, "partition_sweep", recording_sweep)
     config = tmp_path / "hall.cfg"

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from periodic_hall.derived import ConeCounter, DerivedContext, _graded_homology
+from periodic_hall.derived import (
+    ConeCounter,
+    DerivedContext,
+    GradedObject,
+    _graded_homology,
+)
 from periodic_hall.errors import InvariantError, ResourceLimitError, UsageError
 from periodic_hall.extended import ExtendedAlgebra
 from periodic_hall.periodic import PeriodicAlgebra
@@ -52,6 +57,34 @@ def test_graded_rejects_classes_of_another_context(a2_q2, dctx_factory):
             build()
     with pytest.raises(UsageError, match="expected an IsoClass"):
         a2_q2.graded({0: "S1"})
+
+
+def test_hom_ext_aut_and_fibers_refuse_classes_of_another_context():
+    """A second A2 context interns S1 first, the first one enumerates its
+    classes up to (1,1) first, so a key of one names another class in the
+    other.  Hom, Ext, |Aut| and the fiber counts of the first refuse a
+    class of the second, and intern nothing from it."""
+    a, b = (RepContext(Quiver.parse("A2"), 2) for _ in range(2))
+    a.iso_classes_upto((1, 1))
+    S1_b = b.class_by_name("S1")
+    S2_a = a.class_by_name("S2")
+    d = DerivedContext(a)
+    known = dict(a._classes)
+    cases = [
+        lambda: a.hom_dim(S1_b, S2_a),
+        lambda: a.hom_dim(S2_a, S1_b),
+        lambda: a.ext_dim(S1_b, S2_a),
+        lambda: a.aut_count(S1_b),
+        lambda: a.aut_count(b.class_by_name("S1+S2")),
+        lambda: a.representative(S1_b),
+        lambda: d.fiber_counts(GradedObject(((0, S1_b),)), d.stalk(S2_a)),
+    ]
+    for case in cases:
+        with pytest.raises(UsageError, match="belongs to another context"):
+            case()
+    assert a._classes == known
+    assert a.hom_dim(S2_a, a.class_by_name("S1")) == 0
+    assert a.ext_dim(a.class_by_name("S1"), S2_a) == 1
 
 
 def test_db_hom_dim(a2_q2):
@@ -232,7 +265,7 @@ def test_count_modes_agree(dctx_factory):
 
 
 def test_partition_identity_small(a2_q2):
-    report = partition_sweep(a2_q2, 2, mode="total")
+    report = partition_sweep(DerivedContext(a2_q2.rep, count_mode="total"), 2)
     assert report["passed"], report["failures"][:3]
 
 
@@ -529,7 +562,7 @@ def test_unknown_count_mode_is_rejected():
     with pytest.raises(UsageError, match="unknown count mode 'Quotient'"):
         d.fiber_counts(X, Y, mode="Quotient")
     with pytest.raises(UsageError, match="unknown count mode 'bogus'"):
-        partition_sweep(d, 1, mode="bogus")
+        DerivedContext(d.rep, count_mode="bogus")
 
 
 TRIANGLE = "3; 1->2, 2->3, 1->3"

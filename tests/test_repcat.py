@@ -239,6 +239,12 @@ def test_submodule_table_cap_is_per_dimension_vector():
             ctx.submodule_hall_number(L, ctx.class_by_name("S1"), ctx.class_by_name("S1"))
 
 
+def inverse(a, q):
+    """a^-1 for an invertible square matrix a, the solution of a x = 1."""
+    n = len(a)
+    return linalg.solve(a, [[int(i == j) for j in range(n)] for i in range(n)], n, q)
+
+
 def oracle_quotient_rep(ctx, repL, rows):
     """L / span(rows) through a complement of the rows, completed from the
     standard basis, and one inverse change of basis per vertex."""
@@ -251,7 +257,7 @@ def oracle_quotient_rep(ctx, repL, rows):
         c = linalg.extend_row_basis(rows[v], identity, q)
         comp.append(c)
         w = rows[v] + c  # rows form a basis
-        inv_basis.append(linalg.inverse([list(col) for col in zip(*w)], q))
+        inv_basis.append(inverse([list(col) for col in zip(*w)], q))
     mats = []
     for idx, (s, t) in enumerate(ctx.quiver.arrows):
         # coordinates of L_a c in the basis rows[t] + comp[t], for c in comp[s]
@@ -283,7 +289,7 @@ def random_base_change(ctx, rep, rng):
                 break
     out = []
     for idx, (s, t) in enumerate(ctx.quiver.arrows):
-        ginv_t = [list(col) for col in zip(*linalg.inverse(gs[s], q))]
+        ginv_t = [list(col) for col in zip(*inverse(gs[s], q))]
         # mul_t(ginv_t, m) is (m g_s^-1)^T
         out.append(linalg.mul_t(gs[t], linalg.mul_t(ginv_t, rep.mats[idx], q), q))
     return Rep(rep.dims, tuple(out))
